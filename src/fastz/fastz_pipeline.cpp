@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "fastz/strip_kernel.hpp"
 #include "gpusim/batch_scheduler.hpp"
@@ -30,9 +31,25 @@ constexpr double kHostPerSeed = 20e-9;               // anchor bookkeeping + bin
 // mostly from L2; charged on the device ledger).
 constexpr std::uint64_t kSequenceBytesPerStep = 2;
 
-struct TaskAccumulator {
-  std::vector<gpusim::WarpTask> tasks;
-  gpusim::MemoryLedger ledger;
+// Inspector launches a shard's seeds are split over — the pipeline
+// granularity: executor launches depend only on their own inspector chunk,
+// so chunk k's executors overlap inspector chunk k+1.
+constexpr std::size_t kInspectorLaunches = 2;
+
+// Per-launch sequence staging is double-buffered (uploads overlap the
+// running launch), so a launch holds twice the bytes it stages.
+constexpr std::uint64_t kStagingBuffers = 2;
+
+// One executor task, in shard-ordinal order: its work, its resident
+// allocation, its staged sequence bytes, the shard ordinal of its seed
+// (which inspector chunk feeds it), and its executor slot — a length bin,
+// or the trailing Hirschberg slot.
+struct ExecRec {
+  gpusim::WarpTask task;
+  std::uint64_t alloc = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t ordinal = 0;
+  std::uint32_t slot = 0;
 };
 
 // Would-be full-matrix score traffic of a DP region — the counterfactual
@@ -127,11 +144,10 @@ gpusim::MemoryLedger task_traffic_ledger(std::uint64_t seq_bytes, const ScoreCha
 }
 
 // Registry export of one derive()'s outcome: modeled stage times, ledger
-// traffic, and the executor's per-bin work composition. Called only when
+// traffic, and the executor's per-slot work composition. Called only when
 // telemetry is enabled.
-void record_derive(const FastzRun& run,
-                   const std::vector<std::vector<gpusim::WarpTask>>& bin_tasks,
-                   const std::vector<std::vector<std::uint64_t>>& bin_allocs) {
+void record_derive(const FastzRun& run, const std::vector<ExecRec>& recs,
+                   std::size_t slots) {
   auto& reg = telemetry::MetricsRegistry::global();
   reg.counter("fastz.derive.count").add(1);
   reg.counter("fastz.derive.inspector_launches").add(run.inspector_launches);
@@ -162,24 +178,28 @@ void record_derive(const FastzRun& run,
 
   // The trailing slot is the Hirschberg task group; its "cells" are resident
   // traceback bytes like every other slot's (the allocation the memory
-  // batcher packs), not DP cells.
-  for (std::size_t bin = 0; bin < bin_tasks.size(); ++bin) {
-    if (bin_tasks[bin].empty()) continue;
-    std::uint64_t instructions = 0;
-    std::uint64_t mem_bytes = 0;
-    std::uint64_t cells = 0;
-    for (const gpusim::WarpTask& task : bin_tasks[bin]) {
-      instructions += task.warp_instructions;
-      mem_bytes += task.mem_bytes;
-    }
-    for (const std::uint64_t alloc : bin_allocs[bin]) cells += alloc;
-    const std::string prefix = bin + 1 == bin_tasks.size()
+  // budget packs), not DP cells.
+  struct SlotWork {
+    std::uint64_t tasks = 0, cells = 0, instructions = 0, mem_bytes = 0;
+  };
+  std::vector<SlotWork> per_slot(slots);
+  for (const ExecRec& rec : recs) {
+    SlotWork& w = per_slot[rec.slot];
+    ++w.tasks;
+    w.cells += rec.alloc;
+    w.instructions += rec.task.warp_instructions;
+    w.mem_bytes += rec.task.mem_bytes;
+  }
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const SlotWork& w = per_slot[slot];
+    if (w.tasks == 0) continue;
+    const std::string prefix = slot + 1 == slots
                                    ? std::string("fastz.executor.hirschberg")
-                                   : "fastz.executor.bin" + std::to_string(bin);
-    reg.counter(prefix + ".tasks").add(bin_tasks[bin].size());
-    reg.counter(prefix + ".cells").add(cells);
-    reg.counter(prefix + ".warp_instructions").add(instructions);
-    reg.counter(prefix + ".mem_bytes").add(mem_bytes);
+                                   : "fastz.executor.bin" + std::to_string(slot);
+    reg.counter(prefix + ".tasks").add(w.tasks);
+    reg.counter(prefix + ".cells").add(w.cells);
+    reg.counter(prefix + ".warp_instructions").add(w.instructions);
+    reg.counter(prefix + ".mem_bytes").add(w.mem_bytes);
   }
 }
 
@@ -251,51 +271,12 @@ void FastzStudy::pass_assemble(const PipelineOptions& base,
 }
 
 FastzStudy::FastzStudy(const Sequence& a, const Sequence& b, const ScoreParams& params,
-                       const PipelineOptions& base) {
-  telemetry::TraceSpan pass_span("fastz.functional_pass");
-  Timer wallclock;
-  params.validate();
-  sequence_bytes_ = a.size() + b.size();
-
-  std::vector<SeedHit> hits;
-  {
-    telemetry::TraceSpan span("fastz.seeding");
-    hits = enumerate_seeds(a, b, base);
-  }
-  if (telemetry::enabled()) {
-    telemetry::MetricsRegistry::global().counter("fastz.seeds").add(hits.size());
-  }
-
-  functional_threads_ = std::min<std::size_t>(resolve_thread_count(base.threads),
-                                              std::max<std::size_t>(1, hits.size()));
-
-  // Alignments that clear the threshold are parked per seed index and
-  // collected by the serial assembly below, never pushed concurrently.
-  seed_work_.resize(hits.size());
-  std::vector<Alignment> executed(hits.size());
-  auto process_seed = [&](std::size_t idx) {
-    pass_seed(a, b, params, base, hits[idx], idx, executed);
-  };
-
-  {
-    telemetry::TraceSpan loop_span("fastz.inspect_and_execute");
-    if (functional_threads_ <= 1) {
-      for (std::size_t idx = 0; idx < hits.size(); ++idx) process_seed(idx);
-    } else {
-      ThreadPool pool(functional_threads_);
-      pool.parallel_for(hits.size(), process_seed);
-    }
-  }
-
-  // Workers above never touch the registry — per-seed metrics merge in
-  // pass_assemble, once, on one thread.
-  pass_assemble(base, executed);
-  functional_wallclock_s_ = wallclock.elapsed_s();
-}
+                       const PipelineOptions& base)
+    : FastzStudy(std::move(run_functional_batch({{&a, &b, params, base}}, base.threads).front())) {}
 
 std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchItem>& items,
                                              std::size_t threads) {
-  telemetry::TraceSpan batch_span("fastz.functional_batch");
+  telemetry::TraceSpan pass_span("fastz.functional_pass");
   Timer wallclock;
   std::vector<FastzStudy> studies;
   studies.reserve(items.size());
@@ -309,14 +290,14 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
   // same step) reuse one SeedIndex — the batch's biggest fixed-cost
   // amortization for the reference-heavy traffic a service actually sees.
   // find_hits depends only on (query, max_seeds, sample_seed, transitions),
-  // so the shared index yields bit-identical hit lists.
-  std::map<Digest128, SeedIndex> target_indexes;
+  // so the shared index yields bit-identical hit lists. The indexes are
+  // freed when seeding ends, before any per-seed state is allocated.
   std::vector<std::vector<SeedHit>> hits(items.size());
-  std::vector<std::vector<Alignment>> executed(items.size());
   std::size_t total_seeds = 0;
   std::uint64_t shared_targets = 0;
   {
     telemetry::TraceSpan span("fastz.seeding");
+    std::map<Digest128, SeedIndex> target_indexes;
     for (std::size_t it = 0; it < items.size(); ++it) {
       const FunctionalBatchItem& item = items[it];
       item.params.validate();
@@ -336,8 +317,6 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
       if (telem) {
         telemetry::MetricsRegistry::global().counter("fastz.seeds").add(hits[it].size());
       }
-      study.seed_work_.resize(hits[it].size());
-      executed[it].resize(hits[it].size());
       total_seeds += hits[it].size();
     }
   }
@@ -349,11 +328,14 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
 
   // ---- Phase B: one flat sweep over every item's seeds — a single pool
   // barrier for the whole batch instead of one per pair.
+  std::vector<std::vector<Alignment>> executed(items.size());
   std::vector<std::uint32_t> owner(total_seeds);
   std::vector<std::size_t> first(items.size());
   {
     std::size_t flat = 0;
     for (std::size_t it = 0; it < items.size(); ++it) {
+      studies[it].seed_work_.resize(hits[it].size());
+      executed[it].resize(hits[it].size());
       first[it] = flat;
       for (std::size_t k = 0; k < hits[it].size(); ++k) owner[flat++] = static_cast<std::uint32_t>(it);
     }
@@ -377,8 +359,7 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
     }
   }
 
-  // ---- Phase C (serial, item order): per-item assembly, identical to the
-  // single-pair constructor's.
+  // ---- Phase C (serial, item order): per-item assembly.
   for (std::size_t it = 0; it < items.size(); ++it) {
     studies[it].pass_assemble(items[it].options, executed[it]);
     studies[it].functional_threads_ = workers;
@@ -404,26 +385,24 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   FastzRun run;
   run.config = config;
   const gpusim::KernelSimulator sim(device);
-  const bool batched = config.dispatch == DispatchMode::kBatched;
   // Per-launch traffic attribution is only assembled while a profiler is
   // installed; the unprofiled sweep skips every per-task ledger below.
   gpusim::ProfilerSession* const prof = gpusim::ProfilerSession::active();
 
   const std::uint64_t memory_budget = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(static_cast<double>(device.memory_bytes) * 0.6));
-  const std::uint64_t staging_mult = config.batch_double_buffer ? 2 : 1;
 
   // ---- Inspector tasks: every seed of this shard, in seed-index order. ----
-  TaskAccumulator insp;
-  insp.tasks.reserve(seed_work_.size() / shard_count + 1);
+  std::vector<gpusim::WarpTask> insp_tasks;
+  insp_tasks.reserve(seed_work_.size() / shard_count + 1);
+  // Per-task staged sequence bytes: each launch sizes its double-buffered
+  // staging from these.
+  std::vector<std::uint64_t> insp_seq;
+  insp_seq.reserve(insp_tasks.capacity());
   // Parallel per-task ledgers, filled only when profiling: they roll up into
   // per-launch KernelTag::traffic after the launch boundaries are known.
   std::vector<gpusim::MemoryLedger> insp_task_traffic;
-  if (prof != nullptr) insp_task_traffic.reserve(insp.tasks.capacity());
-  // Per-task staged sequence bytes — the batched dispatcher sizes its
-  // double-buffered staging from these.
-  std::vector<std::uint64_t> insp_seq;
-  if (batched) insp_seq.reserve(insp.tasks.capacity());
+  if (prof != nullptr) insp_task_traffic.reserve(insp_tasks.capacity());
   for (std::size_t idx = shard_index; idx < seed_work_.size(); idx += shard_count) {
     const SeedWork& work = seed_work_[idx];
     const SeedInspection& ins = work.inspection;
@@ -435,47 +414,28 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
     gpusim::WarpTask task;
     task.warp_instructions = steps * gpusim::kOpsPerCell;
     const std::uint64_t seq_bytes = steps * kSequenceBytesPerStep;
-    insp.ledger.sequence_bytes += seq_bytes;
+    run.ledger.sequence_bytes += seq_bytes;
     const ScoreCharge score = charge_score_traffic(
         config.cyclic_buffers, cells,
-        ins.left.geom.spill_cells + ins.right.geom.spill_cells, steps, insp.ledger);
+        ins.left.geom.spill_cells + ins.right.geom.spill_cells, steps, run.ledger);
     task.mem_bytes = score.traffic + seq_bytes;
-    insp.tasks.push_back(task);
-    if (batched) insp_seq.push_back(seq_bytes);
+    insp_tasks.push_back(task);
+    insp_seq.push_back(seq_bytes);
     if (prof != nullptr) insp_task_traffic.push_back(task_traffic_ledger(seq_bytes, score));
   }
 
-  // ---- Executor tasks: one slot per length bin. ---------------------------
+  // ---- Executor tasks, in shard-ordinal order. ----------------------------
   // Per-problem traceback allocations must fit device memory together; the
-  // inspector's exact sizes let the executor pack problems tightly, but a
-  // bin whose aggregate allocation exceeds the budget is split into
-  // multiple kernels (Section 3.1.3: "precise allocation enables FastZ to
-  // pack many more seed extensions into one kernel"). Untrimmed executors
-  // allocate the whole search space — the footprint difference is what
-  // batching makes visible.
-  // One slot per length bin, plus a dedicated trailing slot for Hirschberg
-  // tasks: their warp work includes checkpoint replay and their footprint is
-  // O(n+m), so lumping them into bin 3 would hide exactly the behavior the
-  // linear path changes. The slot becomes the `executor.hirschberg` kernel
-  // tag under the profiler.
+  // inspector's exact sizes let the executor pack problems tightly (Section
+  // 3.1.3: "precise allocation enables FastZ to pack many more seed
+  // extensions into one kernel"). Untrimmed executors allocate the whole
+  // search space — the footprint difference is what packing makes visible.
+  // Each task belongs to a length bin, or to a dedicated trailing slot for
+  // Hirschberg tasks: their warp work includes checkpoint replay and their
+  // footprint is O(n+m), so they pack into launches of their own.
   const std::size_t hb_slot = config.bin_edges.size() + 1;
-  std::vector<std::vector<gpusim::WarpTask>> bin_tasks(config.bin_edges.size() + 2);
-  std::vector<std::vector<std::uint64_t>> bin_allocs(config.bin_edges.size() + 2);
-  std::vector<std::vector<gpusim::MemoryLedger>> bin_traffic(
-      prof != nullptr ? bin_tasks.size() : 0);
-  // Flat, seed-ordered executor records for the batched dispatcher: the
-  // task, its resident allocation, its staged sequence bytes, and the shard
-  // ordinal of its seed (which inspector chunk feeds it).
-  struct ExecRec {
-    gpusim::WarpTask task;
-    std::uint64_t alloc = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t ordinal = 0;
-    bool hb = false;
-  };
   std::vector<ExecRec> recs;
   std::vector<gpusim::MemoryLedger> exec_task_traffic;  // parallel to recs
-  TaskAccumulator exec;
   std::uint32_t seed_ordinal = 0;
   for (std::size_t idx = shard_index; idx < seed_work_.size();
        idx += shard_count, ++seed_ordinal) {
@@ -523,16 +483,16 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
     gpusim::WarpTask task;
     task.warp_instructions = steps * gpusim::kOpsPerCell;
     const std::uint64_t seq_bytes = steps * kSequenceBytesPerStep;
-    exec.ledger.sequence_bytes += seq_bytes;
+    run.ledger.sequence_bytes += seq_bytes;
 
     const ScoreCharge score = charge_score_traffic(config.cyclic_buffers, cells + replay,
-                                                   spill_cells, steps, exec.ledger);
+                                                   spill_cells, steps, run.ledger);
     const std::uint64_t tb_bytes = hb ? work.trimmed_tb_bytes : cells;
     const std::uint64_t tb_wire =
         config.staged_traceback_writes ? tb_bytes : tb_bytes * gpusim::kSectorBytes;
-    exec.ledger.traceback_bytes += tb_bytes;
-    exec.ledger.traceback_wire_bytes += tb_wire;
-    if (config.staged_traceback_writes) exec.ledger.shared_staged_bytes += tb_bytes;
+    run.ledger.traceback_bytes += tb_bytes;
+    run.ledger.traceback_wire_bytes += tb_wire;
+    if (config.staged_traceback_writes) run.ledger.shared_staged_bytes += tb_bytes;
 
     // Device-resident footprint of this problem: the whole packed rectangle
     // on the dense path (one byte per computed cell), one base block plus
@@ -545,236 +505,139 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
                              work.hirschberg_block_rows);
       ++run.hirschberg_tasks;
     }
-    exec.ledger.traceback_resident_bytes += alloc;
+    run.ledger.traceback_resident_bytes += alloc;
 
     task.mem_bytes = score.traffic + tb_wire + seq_bytes;
-    const std::size_t bin =
+    const std::size_t slot =
         hb ? hb_slot
            : (eligible ? 0
                        : std::min(bin_index(ins.box(), config.bin_edges),
                                   config.bin_edges.size()));
-    bin_tasks[bin].push_back(task);
-    bin_allocs[bin].push_back(alloc);
-    if (batched) recs.push_back({task, alloc, seq_bytes, seed_ordinal, hb});
+    recs.push_back({task, alloc, seq_bytes, seed_ordinal, static_cast<std::uint32_t>(slot)});
     if (prof != nullptr) {
       gpusim::MemoryLedger task_led = task_traffic_ledger(seq_bytes, score);
       if (config.staged_traceback_writes) task_led.shared_staged_bytes = tb_bytes;
       task_led.traceback_bytes = tb_bytes;
       task_led.traceback_wire_bytes = tb_wire;
       task_led.traceback_resident_bytes = alloc;
-      if (batched) {
-        exec_task_traffic.push_back(task_led);
-      } else {
-        bin_traffic[bin].push_back(task_led);
-      }
+      exec_task_traffic.push_back(task_led);
     }
   }
 
-  run.ledger.merge(insp.ledger);
-  run.ledger.merge(exec.ledger);
+  // ---- Launches: the batch scheduler packs seeds into few large launches
+  // and the pipeline scheduler keeps the streams persistently fed —
+  // executor launches chase their own inspector chunk instead of waiting
+  // at a per-phase barrier. -------------------------------------------------
+  const std::size_t n_insp = insp_tasks.size();
+  const std::size_t chunk_count = std::min(kInspectorLaunches, n_insp);
+  std::vector<gpusim::StreamLaunch> launches;
+  std::vector<gpusim::KernelTag> tags;
+  std::uint64_t staging_high_water = 0;
 
-  if (!batched) {
-    // ==== Legacy dispatch: chunked inspector launches, a bulk-synchronous
-    // phase barrier, then one executor kernel per length bin. Retained as
-    // the A/B baseline arm. =================================================
-    std::vector<std::vector<gpusim::WarpTask>> insp_chunks;
-    std::vector<gpusim::KernelTag> insp_tags;
-    const std::size_t chunk = std::max<std::uint32_t>(config.inspector_chunk, 1);
-    gpusim::KernelTag insp_tag;
-    insp_tag.name = "inspector";
-    insp_tag.phase = "inspector";
-    insp_tag.shard = shard_index;
-    for (std::size_t begin = 0; begin < insp.tasks.size(); begin += chunk) {
-      const std::size_t end = std::min(insp.tasks.size(), begin + chunk);
-      insp_chunks.emplace_back(insp.tasks.begin() + static_cast<std::ptrdiff_t>(begin),
-                               insp.tasks.begin() + static_cast<std::ptrdiff_t>(end));
-      if (prof != nullptr) {
-        gpusim::KernelTag tag = insp_tag;
-        for (std::size_t k = begin; k < end; ++k) tag.traffic.merge(insp_task_traffic[k]);
-        insp_tags.push_back(std::move(tag));
-      }
+  // Inspector launches: contiguous shard-ordinal ranges, LPT-balanced
+  // inside each launch, sequences staged (double-buffered) for the span of
+  // the launch.
+  std::vector<std::size_t> chunk_begin(chunk_count + 1, 0);
+  for (std::size_t j = 0; j <= chunk_count; ++j) {
+    chunk_begin[j] = chunk_count == 0 ? 0 : j * n_insp / chunk_count;
+  }
+  for (std::size_t j = 0; j < chunk_count; ++j) {
+    const std::size_t begin = chunk_begin[j], end = chunk_begin[j + 1];
+    std::vector<gpusim::BatchTask> range;
+    range.reserve(end - begin);
+    for (std::size_t k = begin; k < end; ++k) {
+      range.push_back({insp_tasks[k], insp_seq[k] * kStagingBuffers});
     }
-    run.inspector_launches = insp_chunks.size();
-    run.inspector_cost = sim.run_streamed(
-        insp_chunks, config.streams,
-        prof != nullptr ? std::span<const gpusim::KernelTag>(insp_tags)
-                        : std::span<const gpusim::KernelTag>(&insp_tag, 1));
+    gpusim::LaunchPlan plan = gpusim::pack_tasks(range, {.memory_budget = 0});
+    gpusim::PackedLaunch& packed = plan.launches.front();  // unlimited: one launch
+    staging_high_water = std::max(staging_high_water, packed.resident_bytes);
+    gpusim::StreamLaunch launch;
+    launch.tasks = std::move(packed.tasks);
+    launch.resident_bytes = packed.resident_bytes;
+    gpusim::KernelTag tag;
+    tag.name = "inspector";
+    tag.phase = "inspector";
+    tag.shard = shard_index;
+    if (prof != nullptr) {
+      for (std::size_t k = begin; k < end; ++k) tag.traffic.merge(insp_task_traffic[k]);
+      tag.traffic.staging_buffer_bytes = packed.resident_bytes;
+    }
+    launches.push_back(std::move(launch));
+    tags.push_back(std::move(tag));
+  }
+  run.inspector_launches = chunk_count;
 
-    // Split bins into kernels honoring the device-memory budget. Each kernel
-    // launch is tagged with its bin so the profiler and the Chrome trace can
-    // group executor work by length class.
-    std::vector<std::vector<gpusim::WarpTask>> exec_kernels;
-    std::vector<gpusim::KernelTag> exec_tags;
-    std::vector<std::uint32_t> exec_groups;  // bin id per kernel
-    for (std::size_t bin = 0; bin < bin_tasks.size(); ++bin) {
-      if (bin_tasks[bin].empty()) continue;
-      std::vector<std::vector<gpusim::WarpTask>> batches;
-      std::vector<gpusim::MemoryLedger> batch_traffic;
-      std::vector<gpusim::WarpTask> batch;
-      gpusim::MemoryLedger batch_led;
-      std::uint64_t batch_bytes = 0;
-      for (std::size_t k = 0; k < bin_tasks[bin].size(); ++k) {
-        if (!batch.empty() && batch_bytes + bin_allocs[bin][k] > memory_budget) {
-          batches.push_back(std::move(batch));
-          batch.clear();
-          batch_bytes = 0;
-          batch_traffic.push_back(batch_led);
-          batch_led = gpusim::MemoryLedger{};
-        }
-        batch.push_back(bin_tasks[bin][k]);
-        batch_bytes += bin_allocs[bin][k];
-        if (prof != nullptr) batch_led.merge(bin_traffic[bin][k]);
-      }
-      if (!batch.empty()) {
-        batches.push_back(std::move(batch));
-        batch_traffic.push_back(batch_led);
-      }
-
-      for (std::size_t part = 0; part < batches.size(); ++part) {
+  // Executor launches: per inspector chunk, dense tasks packed cross-bin
+  // in seed order under the memory budget; Hirschberg tasks packed
+  // separately (their replay work and O(n+m) footprint would hide inside a
+  // dense launch). Each launch depends only on its own chunk's inspector
+  // launch, so chunk k's executors overlap inspector chunk k+1.
+  std::size_t rec_pos = 0;  // recs are in shard-ordinal order
+  for (std::size_t j = 0; j < chunk_count; ++j) {
+    std::vector<gpusim::BatchTask> dense, hirsch;
+    std::vector<std::uint32_t> dense_idx, hirsch_idx;  // indices into recs
+    while (rec_pos < recs.size() && recs[rec_pos].ordinal < chunk_begin[j + 1]) {
+      const ExecRec& rec = recs[rec_pos];
+      const bool hb = rec.slot == hb_slot;
+      (hb ? hirsch : dense).push_back({rec.task, rec.alloc + rec.seq * kStagingBuffers});
+      (hb ? hirsch_idx : dense_idx).push_back(static_cast<std::uint32_t>(rec_pos));
+      ++rec_pos;
+    }
+    for (int kind = 0; kind < 2; ++kind) {
+      const auto& idxs = kind == 0 ? dense_idx : hirsch_idx;
+      if (idxs.empty()) continue;
+      gpusim::LaunchPlan plan =
+          gpusim::pack_tasks(kind == 0 ? dense : hirsch, {.memory_budget = memory_budget});
+      for (std::size_t p = 0; p < plan.launches.size(); ++p) {
+        gpusim::PackedLaunch& packed = plan.launches[p];
         gpusim::KernelTag tag;
-        tag.name = bin == hb_slot ? "executor.hirschberg"
-                                  : "executor.bin" + std::to_string(bin);
-        if (batches.size() > 1) tag.name += ".part" + std::to_string(part);
+        tag.name = kind == 0 ? "executor.batch" + std::to_string(j)
+                             : std::string("executor.hirschberg");
+        if (plan.launches.size() > 1) tag.name += ".part" + std::to_string(p);
         tag.phase = "executor";
-        tag.bin = static_cast<std::int32_t>(bin);
+        tag.bin = kind == 0 ? -1 : static_cast<std::int32_t>(hb_slot);
         tag.shard = shard_index;
-        if (prof != nullptr) tag.traffic = batch_traffic[part];
-        exec_tags.push_back(std::move(tag));
-        exec_groups.push_back(static_cast<std::uint32_t>(bin));
-        exec_kernels.push_back(std::move(batches[part]));
-      }
-    }
-    run.executor_kernels = exec_kernels.size();
-    // Only batches that split out of the *same* bin contend for that bin's
-    // allocation and must serialize; kernels of different bins overlap
-    // across streams as usual (run_contended delegates to run_streamed when
-    // no bin was split).
-    run.executor_cost =
-        sim.run_contended(exec_kernels, exec_groups, config.streams, exec_tags);
-    run.modeled.inspector_s = run.inspector_cost.time_s;
-    run.modeled.executor_s = run.executor_cost.time_s;
-  } else {
-    // ==== Batched dispatch: the batch scheduler packs seeds into few large
-    // launches and the pipeline scheduler keeps the streams persistently
-    // fed — executor launches chase their own inspector chunk instead of a
-    // per-phase barrier. ====================================================
-    const std::size_t n_insp = insp.tasks.size();
-    const std::size_t chunk_count =
-        n_insp == 0 ? 0
-                    : std::min<std::size_t>(
-                          std::max<std::uint32_t>(config.batch_inspector_launches, 1),
-                          n_insp);
-    std::vector<gpusim::StreamLaunch> launches;
-    std::vector<gpusim::KernelTag> tags;
-    std::uint64_t staging_high_water = 0;
-
-    // Inspector launches: contiguous shard-ordinal ranges, LPT-balanced
-    // inside each launch, sequences staged (double-buffered) for the span
-    // of the launch.
-    std::vector<std::size_t> chunk_begin(chunk_count + 1, 0);
-    for (std::size_t j = 0; j <= chunk_count; ++j) {
-      chunk_begin[j] = chunk_count == 0 ? 0 : j * n_insp / chunk_count;
-    }
-    for (std::size_t j = 0; j < chunk_count; ++j) {
-      const std::size_t begin = chunk_begin[j], end = chunk_begin[j + 1];
-      std::vector<gpusim::BatchTask> range;
-      range.reserve(end - begin);
-      for (std::size_t k = begin; k < end; ++k) {
-        range.push_back({insp.tasks[k], insp_seq[k] * staging_mult});
-      }
-      gpusim::LaunchPlan plan = gpusim::pack_tasks(
-          range, {.memory_budget = 0, .balance = config.batch_balance});
-      gpusim::PackedLaunch& packed = plan.launches.front();  // unlimited: one launch
-      staging_high_water = std::max(staging_high_water, packed.resident_bytes);
-      gpusim::StreamLaunch launch;
-      launch.tasks = std::move(packed.tasks);
-      launch.resident_bytes = packed.resident_bytes;
-      gpusim::KernelTag tag;
-      tag.name = "inspector";
-      tag.phase = "inspector";
-      tag.shard = shard_index;
-      if (prof != nullptr) {
-        for (std::size_t k = begin; k < end; ++k) tag.traffic.merge(insp_task_traffic[k]);
-        tag.traffic.staging_buffer_bytes = packed.resident_bytes;
-      }
-      launches.push_back(std::move(launch));
-      tags.push_back(std::move(tag));
-    }
-    run.inspector_launches = chunk_count;
-
-    // Executor launches: per inspector chunk, dense tasks packed cross-bin
-    // in seed order under the memory budget; Hirschberg tasks packed
-    // separately (their replay work and O(n+m) footprint would hide inside
-    // a dense launch). Each launch depends only on its own chunk's
-    // inspector launch, so chunk k's executors overlap inspector chunk k+1.
-    std::size_t rec_pos = 0;  // recs are in shard-ordinal order
-    for (std::size_t j = 0; j < chunk_count; ++j) {
-      std::vector<gpusim::BatchTask> dense, hirsch;
-      std::vector<std::uint32_t> dense_idx, hirsch_idx;  // indices into recs
-      while (rec_pos < recs.size() && recs[rec_pos].ordinal < chunk_begin[j + 1]) {
-        const ExecRec& rec = recs[rec_pos];
-        (rec.hb ? hirsch : dense)
-            .push_back({rec.task, rec.alloc + rec.seq * staging_mult});
-        (rec.hb ? hirsch_idx : dense_idx).push_back(static_cast<std::uint32_t>(rec_pos));
-        ++rec_pos;
-      }
-      for (int kind = 0; kind < 2; ++kind) {
-        const auto& idxs = kind == 0 ? dense_idx : hirsch_idx;
-        if (idxs.empty()) continue;
-        gpusim::LaunchPlan plan = gpusim::pack_tasks(
-            kind == 0 ? dense : hirsch,
-            {.memory_budget = memory_budget, .balance = config.batch_balance});
-        for (std::size_t p = 0; p < plan.launches.size(); ++p) {
-          gpusim::PackedLaunch& packed = plan.launches[p];
-          gpusim::KernelTag tag;
-          tag.name = kind == 0 ? "executor.batch" + std::to_string(j)
-                               : std::string("executor.hirschberg");
-          if (plan.launches.size() > 1) tag.name += ".part" + std::to_string(p);
-          tag.phase = "executor";
-          tag.bin = kind == 0 ? -1 : static_cast<std::int32_t>(hb_slot);
-          tag.shard = shard_index;
-          std::uint64_t launch_staging = 0;
-          for (const std::uint32_t q : packed.order) {
-            const ExecRec& rec = recs[idxs[q]];
-            launch_staging += rec.seq * staging_mult;
-            if (prof != nullptr) tag.traffic.merge(exec_task_traffic[idxs[q]]);
-          }
-          if (prof != nullptr) tag.traffic.staging_buffer_bytes = launch_staging;
-          staging_high_water = std::max(staging_high_water, launch_staging);
-          gpusim::StreamLaunch launch;
-          launch.tasks = std::move(packed.tasks);
-          launch.resident_bytes = packed.resident_bytes;
-          launch.deps.push_back(static_cast<std::uint32_t>(j));
-          launches.push_back(std::move(launch));
-          tags.push_back(std::move(tag));
-          ++run.executor_kernels;
+        std::uint64_t launch_staging = 0;
+        for (const std::uint32_t q : packed.order) {
+          const ExecRec& rec = recs[idxs[q]];
+          launch_staging += rec.seq * kStagingBuffers;
+          if (prof != nullptr) tag.traffic.merge(exec_task_traffic[idxs[q]]);
         }
+        if (prof != nullptr) tag.traffic.staging_buffer_bytes = launch_staging;
+        staging_high_water = std::max(staging_high_water, launch_staging);
+        gpusim::StreamLaunch launch;
+        launch.tasks = std::move(packed.tasks);
+        launch.resident_bytes = packed.resident_bytes;
+        launch.deps.push_back(static_cast<std::uint32_t>(j));
+        launches.push_back(std::move(launch));
+        tags.push_back(std::move(tag));
+        ++run.executor_kernels;
       }
     }
-    run.ledger.staging_buffer_bytes += staging_high_water;
-
-    const gpusim::PipelineRun pipe =
-        sim.run_pipeline(launches, config.streams, memory_budget, tags);
-    double insp_end = 0.0;
-    for (std::size_t i = 0; i < launches.size(); ++i) {
-      gpusim::KernelCost& phase = i < chunk_count ? run.inspector_cost : run.executor_cost;
-      const gpusim::KernelCost& cost = pipe.launches[i];
-      phase.tasks += cost.tasks;
-      phase.warp_instructions += cost.warp_instructions;
-      phase.mem_bytes += cost.mem_bytes;
-      phase.compute_time_s += cost.compute_time_s;
-      phase.memory_time_s += cost.memory_time_s;
-      phase.launch_overhead_s += cost.launch_overhead_s;
-      if (i < chunk_count) insp_end = std::max(insp_end, pipe.end_s[i]);
-    }
-    // Phase split on the overlapped timeline: the inspector phase ends when
-    // its last launch retires; what remains is the *exposed* executor tail
-    // — the part the end-to-end overlap could not hide.
-    run.modeled.inspector_s = insp_end;
-    run.modeled.executor_s = std::max(0.0, pipe.total.time_s - insp_end);
-    run.inspector_cost.time_s = run.modeled.inspector_s;
-    run.executor_cost.time_s = run.modeled.executor_s;
   }
+  run.ledger.staging_buffer_bytes += staging_high_water;
+
+  const gpusim::PipelineRun pipe =
+      sim.run_pipeline(launches, config.streams, memory_budget, tags);
+  double insp_end = 0.0;
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    gpusim::KernelCost& phase = i < chunk_count ? run.inspector_cost : run.executor_cost;
+    const gpusim::KernelCost& cost = pipe.launches[i];
+    phase.tasks += cost.tasks;
+    phase.warp_instructions += cost.warp_instructions;
+    phase.mem_bytes += cost.mem_bytes;
+    phase.compute_time_s += cost.compute_time_s;
+    phase.memory_time_s += cost.memory_time_s;
+    phase.launch_overhead_s += cost.launch_overhead_s;
+    if (i < chunk_count) insp_end = std::max(insp_end, pipe.end_s[i]);
+  }
+  // Phase split on the overlapped timeline: the inspector phase ends when
+  // its last launch retires; what remains is the *exposed* executor tail
+  // — the part the end-to-end overlap could not hide.
+  run.modeled.inspector_s = insp_end;
+  run.modeled.executor_s = std::max(0.0, pipe.total.time_s - insp_end);
+  run.inspector_cost.time_s = run.modeled.inspector_s;
+  run.executor_cost.time_s = run.modeled.executor_s;
 
   // ---- Host ("other") component. ------------------------------------------
   std::uint64_t copy_bytes = sequence_bytes_;        // sequences to the device
@@ -787,7 +650,7 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
   run.modeled.other_s = static_cast<double>(sequence_bytes_) * kHostPrepPerSequenceByte +
                         static_cast<double>(run.seeds) * kHostPerSeed +
                         static_cast<double>(copy_bytes) / (device.pcie_bandwidth_gbps * 1e9);
-  if (telemetry::enabled()) record_derive(run, bin_tasks, bin_allocs);
+  if (telemetry::enabled()) record_derive(run, recs, hb_slot + 1);
   if (prof != nullptr) prof->note_seeds(run.seeds, run.eager_handled);
   return run;
 }

@@ -52,8 +52,9 @@ struct FastzRun {
   std::uint64_t seeds = 0;
   std::uint64_t eager_handled = 0;    // seeds finished by eager traceback
   std::uint64_t executor_tasks = 0;
-  // Executor kernel launches: legacy dispatch = bin kernels after memory
-  // batching; batched dispatch = packed cross-bin launches.
+  // Executor kernel launches: the cross-bin packs of each inspector chunk
+  // (more when the memory budget splits one), plus the chunk's Hirschberg
+  // packs.
   std::uint64_t executor_kernels = 0;
   std::uint64_t inspector_launches = 0;  // inspector kernel launches
   std::uint64_t inspector_cells = 0;  // search-space cells (conservative y-drop)
@@ -96,8 +97,9 @@ struct FunctionalBatchItem {
 // batch — items sharing a target sequence (content-identical, same
 // index_step) build its seed index once, and all items' seeds run in a
 // single worker-pool sweep instead of one pool barrier per pair. Per-item
-// results are assembled serially in item order and are bit-identical to a
-// per-pair `FastzStudy(a, b, params, options)` construction (pinned by
+// results are assembled serially in item order and are bit-identical to
+// running each item as a batch of its own, which is what the per-pair
+// `FastzStudy(a, b, params, options)` constructor does (pinned by
 // tests/fastz/batch_pass_test.cpp). This is the entry point the alignment
 // service's micro-batcher dispatches to (see docs/SERVICE.md).
 //
@@ -109,10 +111,10 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
 
 class FastzStudy {
  public:
-  // Runs the functional pass: seeding per `base` options, inspection of
-  // every seed, execution of non-eager seeds (trimmed), and collection of
-  // reported alignments (score >= params.gapped_threshold, deduplicated
-  // per base.deduplicate).
+  // Runs the functional pass as a one-item run_functional_batch: seeding
+  // per `base` options, inspection of every seed, execution of non-eager
+  // seeds (trimmed), and collection of reported alignments (score >=
+  // params.gapped_threshold, deduplicated per base.deduplicate).
   //
   // The per-seed inspect/execute loop runs on `base.threads` workers
   // (0 = auto). Seeds are independent, and all ordered state — alignments,
@@ -148,7 +150,7 @@ class FastzStudy {
   friend std::vector<FastzStudy> run_functional_batch(
       const std::vector<FunctionalBatchItem>& items, std::size_t threads);
 
-  FastzStudy() = default;  // batch entry point fills the members itself
+  FastzStudy() = default;  // run_functional_batch fills the members itself
 
   // Per-seed worker of the functional pass: a pure function of
   // (sequences, hit, params) writing only seed_work_[idx] and its

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 
 namespace fastz::gpusim {
 
@@ -33,7 +32,6 @@ LaunchPlan pack_tasks(std::span<const BatchTask> tasks, const PackOptions& optio
   }
   flush();
 
-  if (!options.balance) return plan;
   for (PackedLaunch& launch : plan.launches) {
     // LPT with input-index tiebreak: a full deterministic order, so the
     // plan (and every modeled time derived from it) is reproducible.
@@ -55,21 +53,6 @@ LaunchPlan pack_tasks(std::span<const BatchTask> tasks, const PackOptions& optio
     launch.order = std::move(sorted_order);
   }
   return plan;
-}
-
-double list_makespan(std::span<const WarpTask> tasks, std::uint32_t slots) {
-  slots = std::max<std::uint32_t>(slots, 1);
-  std::priority_queue<double, std::vector<double>, std::greater<>> finish;
-  for (std::uint32_t s = 0; s < slots; ++s) finish.push(0.0);
-  double makespan = 0.0;
-  for (const WarpTask& task : tasks) {
-    const double start = finish.top();
-    finish.pop();
-    const double end = start + static_cast<double>(task.warp_instructions);
-    makespan = std::max(makespan, end);
-    finish.push(end);
-  }
-  return makespan;
 }
 
 }  // namespace fastz::gpusim

@@ -8,20 +8,18 @@
 //
 //   * first-fit packing under the device memory budget — a launch closes
 //     exactly when the next task's resident allocation would overflow the
-//     budget (the same split condition the per-bin memory batcher used), so
-//     an unlimited budget yields one launch;
-//   * optional LPT (longest-processing-time-first) ordering *inside* each
-//     launch, the classic makespan-minimizing list order for greedy list
+//     budget, so an unlimited budget yields one launch;
+//   * LPT (longest-processing-time-first) ordering *inside* each launch,
+//     the classic makespan-minimizing list order for greedy list
 //     scheduling — SaLoBa-style intra-launch balance. The permutation is
-//     retained (`PackedLaunch::order`) so every per-task quantity can be
-//     restored to seed-index order and results stay bit-identical; the
-//     reorder only changes the modeled schedule.
+//     kept (`PackedLaunch::order`), so per-task quantities the caller holds
+//     in input order can be attributed to their launch; the reorder only
+//     changes the modeled schedule.
 //
-// Consumers: FastzStudy::derive()'s batched dispatch arm builds its
-// inspector and executor launches here, then feeds them to
-// KernelSimulator::run_pipeline() with dependencies so executor launches
-// chase their inspector chunk end-to-end instead of per-phase bulk
-// synchrony.
+// Consumer: FastzStudy::derive() builds its inspector and executor
+// launches here, then feeds them to KernelSimulator::run_pipeline() with
+// dependencies, so executor launches chase their inspector chunk end to
+// end instead of waiting at a per-phase barrier.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +38,7 @@ struct BatchTask {
 };
 
 // One packed launch. `order[p]` is the index into the input span of the
-// task at launch position `p` — the permutation LPT applied, kept so it can
-// be undone.
+// task at launch position `p` — the permutation LPT applied.
 struct PackedLaunch {
   std::vector<WarpTask> tasks;
   std::vector<std::uint32_t> order;
@@ -55,9 +52,6 @@ struct PackOptions {
   // task larger than the budget still gets a launch of its own — the
   // scheduler packs, it does not shrink tasks.
   std::uint64_t memory_budget = 0;
-  // LPT-sort tasks inside each launch (ties broken by input index, so the
-  // plan is deterministic). Off = keep input order, the A/B baseline.
-  bool balance = true;
 };
 
 struct LaunchPlan {
@@ -68,31 +62,12 @@ struct LaunchPlan {
     for (const PackedLaunch& l : launches) n += l.tasks.size();
     return n;
   }
-
-  // Undoes the packing permutation: scatters per-position values (outer
-  // index = launch, inner = launch position) back to input order. The
-  // round-trip `restore(values laid out by the plan) == input values` is
-  // what keeps batched results seed-index-ordered and bit-identical.
-  template <typename T>
-  std::vector<T> restore(const std::vector<std::vector<T>>& per_launch) const {
-    std::vector<T> out(total_tasks());
-    for (std::size_t l = 0; l < launches.size(); ++l) {
-      const PackedLaunch& launch = launches[l];
-      for (std::size_t p = 0; p < launch.order.size(); ++p) {
-        out[launch.order[p]] = per_launch[l][p];
-      }
-    }
-    return out;
-  }
 };
 
-// Packs `tasks` (in input order) into launches under `options`. Every input
-// index appears exactly once across the plan's `order` vectors.
+// Packs `tasks` (in input order) into launches under `options` and
+// LPT-sorts each launch (ties broken by input index, so the plan is
+// deterministic). Every input index appears exactly once across the plan's
+// `order` vectors.
 LaunchPlan pack_tasks(std::span<const BatchTask> tasks, const PackOptions& options);
-
-// Greedy list-schedule makespan of `tasks` in the given order over `slots`
-// execution slots, in warp-instruction units (no derate — order-comparison
-// only). The balance test's metric: LPT order never loses to input order.
-double list_makespan(std::span<const WarpTask> tasks, std::uint32_t slots);
 
 }  // namespace fastz::gpusim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <type_traits>
 #include <utility>
 
 #include "gpusim/profiler.hpp"
@@ -61,26 +62,25 @@ double KernelSimulator::task_time_s(const WarpTask& task) const noexcept {
   // Latency of the task running alone: a single warp progresses at its
   // dependent-chain IPC — this is what sets the bulk-synchronous tail of a
   // kernel holding one long alignment. Aggregate throughput is capped
-  // separately in run_kernel().
+  // separately in simulate().
   const double warp_rate = spec_.clock_ghz * 1e9 * spec_.single_warp_ipc;
   const double instructions =
       static_cast<double>(task.warp_instructions) * spec_.divergence_derate;
   return instructions / warp_rate;
 }
 
+template <bool kProfiled>
 KernelCost KernelSimulator::simulate(std::span<const WarpTask> tasks,
                                      HwCounters* counters) const {
-  if (counters != nullptr) return simulate_profiled(tasks, *counters);
-
-  // Unprofiled hot path, structurally identical to the pre-profiler code:
-  // the heap holds bare finish times (one word per slot, no slot ids, no
-  // per-iteration profiling branches). Keeping this loop lean is what holds
-  // the disabled-profiler overhead under the 2% budget.
   KernelCost cost;
   cost.tasks = tasks.size();
   cost.launch_overhead_s = spec_.kernel_launch_overhead_s;
   if (tasks.empty()) {
     cost.time_s = cost.launch_overhead_s;
+    if constexpr (kProfiled) {
+      counters->divergence_derate = spec_.divergence_derate;
+      counters->sm_busy_s.assign(spec_.sm_count, 0.0);
+    }
     return cost;
   }
 
@@ -88,18 +88,48 @@ KernelCost KernelSimulator::simulate(std::span<const WarpTask> tasks,
   // This is how the hardware work-distributor behaves to first order, and
   // it exposes the bulk-synchronous tail: the kernel ends at the *latest*
   // slot, so one long alignment in a kernel of short ones leaves the rest
-  // of the device idle.
+  // of the device idle. Unprofiled, the heap holds bare finish times (one
+  // word per slot, no per-iteration profiling work) — keeping this loop
+  // lean is what holds the disabled-profiler overhead under the 2% budget.
+  // Profiled, it also carries the slot id so busy time lands on the right
+  // SM; slot s lives on SM s % sm_count, so the initial round-robin spreads
+  // tasks across SMs before doubling up issue slots.
+  using Slot = std::conditional_t<kProfiled, std::pair<double, std::uint32_t>, double>;
   const std::uint32_t slots = slot_count();
-  std::priority_queue<double, std::vector<double>, std::greater<>> finish;
-  for (std::uint32_t s = 0; s < slots; ++s) finish.push(0.0);
+  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> finish;
+  for (std::uint32_t s = 0; s < slots; ++s) {
+    if constexpr (kProfiled) {
+      finish.push({0.0, s});
+    } else {
+      finish.push(0.0);
+    }
+  }
+  std::vector<double> sm_busy;
+  std::vector<double> sm_finish;
+  double busy_s = 0.0;
+  if constexpr (kProfiled) {
+    sm_busy.assign(spec_.sm_count, 0.0);
+    sm_finish.assign(spec_.sm_count, 0.0);
+  }
 
   double makespan = 0.0;
   for (const WarpTask& task : tasks) {
-    const double start = finish.top();
+    const Slot slot = finish.top();
     finish.pop();
-    const double end = start + task_time_s(task);
+    const double dt = task_time_s(task);
+    double end = dt;
+    if constexpr (kProfiled) {
+      end += slot.first;
+      finish.push({end, slot.second});
+      busy_s += dt;
+      const std::uint32_t sm = slot.second % spec_.sm_count;
+      sm_busy[sm] += dt;
+      sm_finish[sm] = std::max(sm_finish[sm], end);
+    } else {
+      end += slot;
+      finish.push(end);
+    }
     makespan = std::max(makespan, end);
-    finish.push(end);
     cost.warp_instructions += task.warp_instructions;
     cost.mem_bytes += task.mem_bytes;
   }
@@ -107,56 +137,6 @@ KernelCost KernelSimulator::simulate(std::span<const WarpTask> tasks,
   // Two compute rooflines: the latency makespan (tasks at single-warp
   // rate over the slots) and the device's sustained issue throughput for
   // the aggregate instruction stream — whichever binds.
-  const double throughput_s =
-      static_cast<double>(cost.warp_instructions) * spec_.divergence_derate /
-      spec_.sustained_warp_issue_per_s();
-  cost.compute_time_s = std::max(makespan, throughput_s);
-  cost.memory_time_s =
-      static_cast<double>(cost.mem_bytes) / spec_.sustained_bandwidth_bytes_per_s();
-  cost.time_s = std::max(cost.compute_time_s, cost.memory_time_s) + cost.launch_overhead_s;
-  return cost;
-}
-
-KernelCost KernelSimulator::simulate_profiled(std::span<const WarpTask> tasks,
-                                              HwCounters& counters) const {
-  KernelCost cost;
-  cost.tasks = tasks.size();
-  cost.launch_overhead_s = spec_.kernel_launch_overhead_s;
-  if (tasks.empty()) {
-    cost.time_s = cost.launch_overhead_s;
-    counters.divergence_derate = spec_.divergence_derate;
-    counters.sm_busy_s.assign(spec_.sm_count, 0.0);
-    return cost;
-  }
-
-  // Same greedy list schedule as the unprofiled path, but the heap
-  // additionally carries the slot id so busy time lands on the right SM.
-  // Slot s lives on SM s % sm_count, so the initial round-robin spreads
-  // tasks across SMs before doubling up issue slots.
-  const std::uint32_t slots = slot_count();
-  std::vector<double> sm_busy(spec_.sm_count, 0.0);
-  std::vector<double> sm_finish(spec_.sm_count, 0.0);
-  using Slot = std::pair<double, std::uint32_t>;  // (finish time, slot id)
-  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> finish;
-  for (std::uint32_t s = 0; s < slots; ++s) finish.push({0.0, s});
-
-  double makespan = 0.0;
-  double busy_s = 0.0;
-  for (const WarpTask& task : tasks) {
-    const auto [start, slot] = finish.top();
-    finish.pop();
-    const double dt = task_time_s(task);
-    const double end = start + dt;
-    makespan = std::max(makespan, end);
-    finish.push({end, slot});
-    cost.warp_instructions += task.warp_instructions;
-    cost.mem_bytes += task.mem_bytes;
-    busy_s += dt;
-    const std::uint32_t sm = slot % spec_.sm_count;
-    sm_busy[sm] += dt;
-    sm_finish[sm] = std::max(sm_finish[sm], end);
-  }
-
   const double derated_instructions =
       static_cast<double>(cost.warp_instructions) * spec_.divergence_derate;
   const double throughput_s = derated_instructions / spec_.sustained_warp_issue_per_s();
@@ -164,192 +144,32 @@ KernelCost KernelSimulator::simulate_profiled(std::span<const WarpTask> tasks,
   cost.memory_time_s =
       static_cast<double>(cost.mem_bytes) / spec_.sustained_bandwidth_bytes_per_s();
   cost.time_s = std::max(cost.compute_time_s, cost.memory_time_s) + cost.launch_overhead_s;
-
-  counters.tasks = cost.tasks;
-  counters.warp_instructions = cost.warp_instructions;
-  counters.divergence_derate = spec_.divergence_derate;
-  counters.sm_busy_s = std::move(sm_busy);
-  // Issued cycles: one issue slot for one cycle per derated instruction.
-  counters.issued_warp_cycles = static_cast<std::uint64_t>(std::llround(derated_instructions));
-  // Stalls: every issue-slot cycle inside the kernel's span (makespan or
-  // whichever roofline stretched it) that did not retire an instruction —
-  // dependent-chain bubbles, tail idling, memory stalls.
-  const double span_s = cost.time_s - cost.launch_overhead_s;
-  const double span_cycles = span_s * spec_.clock_ghz * 1e9;
-  const double total_slot_cycles = span_cycles * static_cast<double>(slots);
-  counters.stalled_warp_cycles = static_cast<std::uint64_t>(std::llround(
-      std::max(0.0, total_slot_cycles - derated_instructions)));
-  // Occupancy: time-weighted fraction of issue slots holding a warp.
-  counters.achieved_occupancy =
-      span_s > 0.0 ? busy_s / (span_s * static_cast<double>(slots)) : 0.0;
-  // Bulk-synchronous tail: the earliest-finishing SM's wait at the
-  // kernel-end barrier.
-  double earliest = makespan;
-  for (const double f : sm_finish) earliest = std::min(earliest, f);
-  counters.tail_latency_s = makespan - earliest;
+  if constexpr (kProfiled) {
+    counters->tasks = cost.tasks;
+    counters->warp_instructions = cost.warp_instructions;
+    counters->divergence_derate = spec_.divergence_derate;
+    counters->sm_busy_s = std::move(sm_busy);
+    // Issued cycles: one issue slot for one cycle per derated instruction.
+    counters->issued_warp_cycles =
+        static_cast<std::uint64_t>(std::llround(derated_instructions));
+    // Stalls: every issue-slot cycle inside the kernel's span (makespan or
+    // whichever roofline stretched it) that did not retire an instruction —
+    // dependent-chain bubbles, tail idling, memory stalls.
+    const double span_s = cost.time_s - cost.launch_overhead_s;
+    const double span_cycles = span_s * spec_.clock_ghz * 1e9;
+    const double total_slot_cycles = span_cycles * static_cast<double>(slots);
+    counters->stalled_warp_cycles = static_cast<std::uint64_t>(std::llround(
+        std::max(0.0, total_slot_cycles - derated_instructions)));
+    // Occupancy: time-weighted fraction of issue slots holding a warp.
+    counters->achieved_occupancy =
+        span_s > 0.0 ? busy_s / (span_s * static_cast<double>(slots)) : 0.0;
+    // Bulk-synchronous tail: the earliest-finishing SM's wait at the
+    // kernel-end barrier.
+    double earliest = makespan;
+    for (const double f : sm_finish) earliest = std::min(earliest, f);
+    counters->tail_latency_s = makespan - earliest;
+  }
   return cost;
-}
-
-KernelCost KernelSimulator::run_kernel(std::span<const WarpTask> tasks) const {
-  // Skip the KernelTag (two strings + a ledger) entirely while no profiler
-  // is installed — this overload sits on unprofiled hot paths.
-  if (ProfilerSession::active() == nullptr) {
-    const KernelCost cost = simulate(tasks, nullptr);
-    if (telemetry::enabled()) record_kernel_cost(cost);
-    return cost;
-  }
-  return run_kernel(tasks, KernelTag{});
-}
-
-KernelCost KernelSimulator::run_kernel(std::span<const WarpTask> tasks,
-                                       const KernelTag& tag) const {
-  ProfilerSession* session = ProfilerSession::active();
-  if (session == nullptr) {
-    const KernelCost cost = simulate(tasks, nullptr);
-    if (telemetry::enabled()) record_kernel_cost(cost);
-    return cost;
-  }
-
-  KernelProfile profile;
-  profile.tag = tag;
-  profile.cost = simulate(tasks, &profile.counters);
-  profile.counters.traffic = tag.traffic;
-  if (telemetry::enabled()) record_kernel_cost(profile.cost);
-  profile.start_s = session->now_s();
-  profile.end_s = profile.start_s + profile.cost.time_s;
-  session->advance(profile.cost.time_s);
-  record_profiled_launch(profile);
-  const KernelCost cost = profile.cost;
-  session->record(std::move(profile));
-  return cost;
-}
-
-KernelCost KernelSimulator::run_streamed(const std::vector<std::vector<WarpTask>>& chunks,
-                                         std::uint32_t streams) const {
-  return run_streamed(chunks, streams, {});
-}
-
-KernelCost KernelSimulator::run_streamed(const std::vector<std::vector<WarpTask>>& chunks,
-                                         std::uint32_t streams,
-                                         std::span<const KernelTag> tags) const {
-  auto chunk_tag = [&](std::size_t i) -> KernelTag {
-    if (tags.empty()) return KernelTag{};
-    return tags.size() == 1 ? tags.front() : tags[i];
-  };
-
-  ProfilerSession* session = ProfilerSession::active();
-  KernelCost total;
-  if (streams <= 1) {
-    // Serialized chunks: every chunk pays its own bulk-synchronous tail.
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      KernelCost c;
-      if (session == nullptr) {
-        c = simulate(chunks[i], nullptr);
-        if (telemetry::enabled()) record_kernel_cost(c);
-      } else {
-        KernelTag tag = chunk_tag(i);
-        tag.stream = 0;
-        if (tags.size() == 1 && i > 0) tag.traffic = MemoryLedger{};
-        c = run_kernel(chunks[i], tag);
-      }
-      total.time_s += c.time_s;
-      total.compute_time_s += c.compute_time_s;
-      total.memory_time_s += c.memory_time_s;
-      total.launch_overhead_s += c.launch_overhead_s;
-      total.tasks += c.tasks;
-      total.warp_instructions += c.warp_instructions;
-      total.mem_bytes += c.mem_bytes;
-    }
-    return total;
-  }
-
-  // Streams overlap chunk execution: the device sees one pooled schedule.
-  // Because every stream's first kernel launches at t = 0, a kernel holding
-  // long tasks (a high bin) gets its long tasks started immediately; model
-  // that with longest-processing-time ordering of the pooled task list (the
-  // classic makespan-minimizing list order).
-  std::vector<WarpTask> pooled;
-  std::size_t total_tasks = 0;
-  for (const auto& chunk : chunks) total_tasks += chunk.size();
-  pooled.reserve(total_tasks);
-  for (const auto& chunk : chunks) pooled.insert(pooled.end(), chunk.begin(), chunk.end());
-  std::sort(pooled.begin(), pooled.end(), [](const WarpTask& x, const WarpTask& y) {
-    return x.warp_instructions > y.warp_instructions;
-  });
-
-  total = simulate(pooled, nullptr);
-  // Launch overheads stay per-chunk but overlap across streams.
-  const std::size_t chunks_per_stream =
-      (chunks.size() + streams - 1) / std::max<std::uint32_t>(streams, 1);
-  total.launch_overhead_s = spec_.kernel_launch_overhead_s *
-                            static_cast<double>(std::max<std::size_t>(chunks_per_stream, 1));
-  total.time_s = std::max(total.compute_time_s, total.memory_time_s) +
-                 total.launch_overhead_s;
-  if (telemetry::enabled()) record_kernel_cost(total);
-
-  if (session != nullptr) {
-    // Per-chunk profiles on a per-stream timeline. Each chunk is costed
-    // standalone for its counters; intervals are then scaled so the longest
-    // stream lane spans exactly the pooled (overlapped) total — the
-    // timeline stays consistent with the modeled wall-clock.
-    const double base = session->now_s();
-    std::vector<double> cursor(streams, 0.0);
-    std::vector<KernelProfile> profiles;
-    profiles.reserve(chunks.size());
-    double longest = 0.0;
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      KernelProfile profile;
-      profile.tag = chunk_tag(i);
-      profile.tag.stream = static_cast<std::uint32_t>(i % streams);
-      // A shared base tag cannot split its traffic across chunks — attribute
-      // it once (first chunk) instead of duplicating it per launch.
-      if (tags.size() == 1 && i > 0) profile.tag.traffic = MemoryLedger{};
-      profile.cost = simulate(chunks[i], &profile.counters);
-      profile.counters.traffic = profile.tag.traffic;
-      profile.start_s = cursor[profile.tag.stream];
-      profile.end_s = profile.start_s + profile.cost.time_s;
-      cursor[profile.tag.stream] = profile.end_s;
-      longest = std::max(longest, profile.end_s);
-      profiles.push_back(std::move(profile));
-    }
-    const double scale = longest > 0.0 ? total.time_s / longest : 1.0;
-    for (KernelProfile& profile : profiles) {
-      profile.start_s = base + profile.start_s * scale;
-      profile.end_s = base + profile.end_s * scale;
-      record_profiled_launch(profile);
-      session->record(std::move(profile));
-    }
-    session->advance(total.time_s);
-  }
-  return total;
-}
-
-KernelCost KernelSimulator::run_contended(const std::vector<std::vector<WarpTask>>& chunks,
-                                          std::span<const std::uint32_t> groups,
-                                          std::uint32_t streams,
-                                          std::span<const KernelTag> tags) const {
-  bool contended = false;
-  if (streams > 1 && groups.size() == chunks.size()) {
-    std::vector<std::uint32_t> seen(groups.begin(), groups.end());
-    std::sort(seen.begin(), seen.end());
-    contended = std::adjacent_find(seen.begin(), seen.end()) != seen.end();
-  }
-  if (!contended) return run_streamed(chunks, streams, tags);
-
-  // A split bin's batches reuse one allocation and must retire in turn;
-  // express that as dependency chains per group and let the pipeline
-  // scheduler overlap everything else. Unlimited budget: the chains *are*
-  // the memory constraint here.
-  std::vector<StreamLaunch> launches(chunks.size());
-  std::vector<std::uint32_t> last_of_group;
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    launches[i].tasks = chunks[i];
-    const std::uint32_t g = groups[i];
-    if (g >= last_of_group.size()) last_of_group.resize(g + 1, UINT32_MAX);
-    if (last_of_group[g] != UINT32_MAX) launches[i].deps.push_back(last_of_group[g]);
-    last_of_group[g] = static_cast<std::uint32_t>(i);
-  }
-  return run_pipeline(launches, streams, 0, tags).total;
 }
 
 PipelineRun KernelSimulator::run_pipeline(std::span<const StreamLaunch> launches,
@@ -368,8 +188,9 @@ PipelineRun KernelSimulator::run_pipeline(std::span<const StreamLaunch> launches
 
   std::vector<HwCounters> counters(session != nullptr ? n : 0);
   for (std::size_t i = 0; i < n; ++i) {
-    run.launches.push_back(
-        simulate(launches[i].tasks, session != nullptr ? &counters[i] : nullptr));
+    run.launches.push_back(session != nullptr
+                               ? simulate<true>(launches[i].tasks, &counters[i])
+                               : simulate<false>(launches[i].tasks, nullptr));
     if (telemetry::enabled()) record_kernel_cost(run.launches[i]);
   }
 
@@ -443,8 +264,7 @@ PipelineRun KernelSimulator::run_pipeline(std::span<const StreamLaunch> launches
     const double base = session->now_s();
     for (std::size_t i = 0; i < n; ++i) {
       KernelProfile profile;
-      if (!tags.empty()) profile.tag = tags.size() == 1 ? tags.front() : tags[i];
-      if (tags.size() == 1 && i > 0) profile.tag.traffic = MemoryLedger{};
+      if (i < tags.size()) profile.tag = tags[i];
       profile.tag.stream = lane_of[i];
       profile.cost = run.launches[i];
       profile.counters = std::move(counters[i]);

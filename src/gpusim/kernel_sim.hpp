@@ -4,10 +4,11 @@
 // (Section 3.1.1). A kernel is a batch of such warp-tasks; it completes
 // only when every task has (bulk synchrony), which is precisely what makes
 // intermingled long and short alignments a load-imbalance problem and
-// motivates length binning (Section 3.3). The simulator list-schedules the
-// tasks onto the device's execution slots and reports the makespan together
-// with the memory-bandwidth roofline time — whichever dominates is the
-// kernel's modeled time.
+// motivates length binning (Section 3.3). The simulator list-schedules each
+// launch's tasks onto the device's execution slots and reports the makespan
+// together with the memory-bandwidth roofline time — whichever dominates is
+// the kernel's modeled time — then places whole launches on CUDA-stream
+// lanes (Section 3.4).
 #pragma once
 
 #include <cstdint>
@@ -49,9 +50,9 @@ struct KernelCost {
 
 // One launch of a persistently-fed stream schedule (run_pipeline): its task
 // list, the device allocation it holds while in flight, and the indices of
-// earlier launches that must retire before it may start (the batched
-// dispatcher chains each executor launch after the inspector launch that
-// produced its seeds). Tags ride in a separate span, like run_streamed's.
+// earlier launches that must retire before it may start (derive() chains
+// each executor launch after the inspector launch that produced its seeds).
+// Profiler tags ride in a separate span.
 struct StreamLaunch {
   std::vector<WarpTask> tasks;
   std::uint64_t resident_bytes = 0;
@@ -75,39 +76,6 @@ class KernelSimulator {
 
   const DeviceSpec& spec() const noexcept { return spec_; }
 
-  // One bulk-synchronous kernel over `tasks`. The tagged overload labels the
-  // launch for the profiler (gpusim/profiler.hpp); the untagged one uses a
-  // default tag. While a ProfilerSession is installed, each launch records
-  // per-kernel/per-SM HwCounters and its simulated-timeline interval.
-  KernelCost run_kernel(std::span<const WarpTask> tasks) const;
-  KernelCost run_kernel(std::span<const WarpTask> tasks, const KernelTag& tag) const;
-
-  // A sequence of kernels (chunks). With `streams == 1` the chunks are
-  // serialized — each pays its own bulk-synchronous tail (the FastZ
-  // single-stream ablation). With more streams, chunks overlap: tasks pool
-  // into one schedule and only the launch overheads stay per-chunk
-  // (Section 3.4, "Streams").
-  //
-  // `tags` labels the chunk launches: empty = default tags, one entry = the
-  // shared base tag for every chunk, otherwise one tag per chunk. Stream
-  // ids in the tags are overwritten with the simulator's round-robin stream
-  // assignment.
-  KernelCost run_streamed(const std::vector<std::vector<WarpTask>>& chunks,
-                          std::uint32_t streams) const;
-  KernelCost run_streamed(const std::vector<std::vector<WarpTask>>& chunks,
-                          std::uint32_t streams, std::span<const KernelTag> tags) const;
-
-  // run_streamed with per-chunk contention groups: chunks sharing a group
-  // id contend for the same allocation budget and serialize against each
-  // other; chunks in different groups overlap across streams as usual.
-  // With no duplicated group id (or one stream) this is exactly
-  // run_streamed — the legacy dispatch path stays bit-identical when the
-  // memory batcher did not split any bin.
-  KernelCost run_contended(const std::vector<std::vector<WarpTask>>& chunks,
-                           std::span<const std::uint32_t> groups,
-                           std::uint32_t streams,
-                           std::span<const KernelTag> tags) const;
-
   // Persistently-fed stream schedule over whole launches: each launch is
   // costed standalone (its own bulk-synchronous tail and launch overhead)
   // and greedily placed on the earliest-free of `streams` lanes, no earlier
@@ -116,8 +84,11 @@ class KernelSimulator {
   // (0 = unlimited). Device-wide capacity floors (sustained issue
   // throughput, memory bandwidth over the aggregate work) then stretch the
   // schedule uniformly when the lanes alone would exceed what one device
-  // can co-issue. Tags follow run_streamed's convention (empty / shared /
-  // per-launch); stream ids are overwritten with the assigned lane. The
+  // can co-issue. A single launch on one lane is one bulk-synchronous
+  // kernel. `tags` is empty (default tags) or holds one tag per launch;
+  // stream ids are overwritten with the assigned lane. While a
+  // ProfilerSession is installed (gpusim/profiler.hpp), each launch records
+  // per-kernel/per-SM HwCounters and its simulated-timeline interval; the
   // profiled and unprofiled paths model identical costs.
   PipelineRun run_pipeline(std::span<const StreamLaunch> launches,
                            std::uint32_t streams, std::uint64_t memory_budget,
@@ -132,13 +103,13 @@ class KernelSimulator {
   double task_time_s(const WarpTask& task) const noexcept;
 
  private:
-  // Pure scheduling/cost computation. When `counters` is non-null (an
-  // installed ProfilerSession), also derives the modeled hardware counters
-  // — per-SM busy time, issued/stalled warp-cycles, achieved occupancy.
-  // The profiled variant lives in its own (cold) function so the unprofiled
-  // scheduling loop stays as small as it was before the profiler existed.
+  // Pure scheduling/cost computation of one launch. The profiled instance
+  // also derives the modeled hardware counters into `*counters` — per-SM
+  // busy time, issued/stalled warp-cycles, achieved occupancy; the
+  // unprofiled one ignores `counters` and schedules over bare finish
+  // times, so a disabled profiler adds no work to the loop.
+  template <bool kProfiled>
   KernelCost simulate(std::span<const WarpTask> tasks, HwCounters* counters) const;
-  KernelCost simulate_profiled(std::span<const WarpTask> tasks, HwCounters& counters) const;
 
   DeviceSpec spec_;
 };

@@ -35,10 +35,12 @@
 namespace fastz::gpusim {
 
 // Identity of one kernel launch. The pipeline labels its launches
-// ("inspector", "executor.bin2", ...); `stream` is assigned by the
-// simulator's stream scheduler, `bin` is the executor length-bin id
-// (0..4 for the 512/2048/8192/32768 edges + overflow; -1 when the kernel
-// is not length-binned), `shard` the multi-GPU device index.
+// ("inspector", "executor.batch0", "executor.hirschberg", ...); `stream`
+// is the lane run_pipeline placed the launch on, `bin` the executor slot
+// id when the launch holds one slot's tasks (slots 0..4 are the
+// 512/2048/8192/32768 length bins + overflow, slot 5 the Hirschberg tasks;
+// -1 when the launch packs across bins), `shard` the multi-GPU device
+// index.
 struct KernelTag {
   std::string name = "kernel";
   std::string phase;          // "inspector" | "executor" | ""
@@ -48,8 +50,6 @@ struct KernelTag {
   // Per-level traffic attribution of this launch, filled by the caller only
   // while a ProfilerSession is installed (WarpTask stays two words so the
   // unprofiled scheduling path keeps its footprint — see kernel_sim.hpp).
-  // In run_streamed, a single shared base tag attributes its traffic to the
-  // first chunk only; per-chunk tags attribute exactly.
   MemoryLedger traffic;
   // Owning service batch / request (zero when the launch happened outside
   // the alignment service). Callers normally leave these zero:
@@ -131,8 +131,8 @@ class ProfilerSession {
 
   // ---- Recording (called by KernelSimulator / the pipeline). --------------
   void record(KernelProfile profile);
-  // Simulated-timeline cursor: kernels are placed end-to-end per phase,
-  // overlapping across streams within one run_streamed call.
+  // Simulated-timeline cursor: successive run_pipeline calls are placed
+  // end to end; launches inside one call overlap across its stream lanes.
   double now_s() const;
   void advance(double dt);
   // Pipeline-level tallies behind the summary ratios.

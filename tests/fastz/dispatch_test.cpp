@@ -1,12 +1,16 @@
-// Legacy-vs-batched dispatch equivalence (satellite of the batched-dispatch
-// PR). The two arms schedule the same functional work differently, so
-// everything functional — alignments, census, task/cell totals — must be
-// bit-identical between them, across the fuzz corpus's case kinds and at
-// any thread count; only the modeled schedule (times, launch counts) may
-// differ, and the batched arm must not lose.
+// Invariants of derive()'s dispatch path. derive() has one launch path —
+// packed inspector launches, executor launches chasing their own inspector
+// chunk on the pipeline scheduler — but its schedule loop has two arms:
+// unprofiled (a heap of bare finish times) and profiled (per-SM counters
+// under an installed ProfilerSession). Functional totals must be
+// consistent across the fuzz corpus's case kinds, the two arms must model
+// identical costs, and neither may depend on the functional pass's thread
+// count. DispatchAtScale pins the modeled output of the harness pair.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,8 +18,8 @@
 #include "gpusim/device_spec.hpp"
 #include "gpusim/profiler.hpp"
 #include "report/experiment.hpp"
-#include "report/profile.hpp"
 #include "testing/corpus.hpp"
+#include "util/digest.hpp"
 
 namespace fastz {
 namespace {
@@ -24,29 +28,31 @@ using testing::CaseKind;
 using testing::kCaseKindCount;
 using testing::make_case_of_kind;
 
-void expect_same_functional_outcome(const FastzRun& legacy, const FastzRun& batched,
-                                    const std::string& label) {
-  EXPECT_EQ(legacy.census.total, batched.census.total) << label;
-  EXPECT_EQ(legacy.census.eager, batched.census.eager) << label;
-  EXPECT_EQ(legacy.census.overflow, batched.census.overflow) << label;
-  for (std::size_t b = 0; b < legacy.census.bins.size(); ++b) {
-    EXPECT_EQ(legacy.census.bins[b], batched.census.bins[b]) << label << " bin " << b;
-  }
-  EXPECT_EQ(legacy.seeds, batched.seeds) << label;
-  EXPECT_EQ(legacy.eager_handled, batched.eager_handled) << label;
-  EXPECT_EQ(legacy.executor_tasks, batched.executor_tasks) << label;
-  EXPECT_EQ(legacy.hirschberg_tasks, batched.hirschberg_tasks) << label;
-  EXPECT_EQ(legacy.inspector_cells, batched.inspector_cells) << label;
-  EXPECT_EQ(legacy.executor_cells, batched.executor_cells) << label;
-  // The dispatch arm never changes what the kernels compute, only how the
-  // work is cut into launches — aggregate work and task counts are equal.
-  EXPECT_EQ(legacy.inspector_cost.warp_instructions +
-                legacy.executor_cost.warp_instructions,
-            batched.inspector_cost.warp_instructions +
-                batched.executor_cost.warp_instructions)
-      << label;
-  EXPECT_EQ(legacy.inspector_cost.tasks + legacy.executor_cost.tasks,
-            batched.inspector_cost.tasks + batched.executor_cost.tasks)
+// Single-path invariants of one derive(): every seed is either finished by
+// the eager tile or becomes one executor task, and the phases' launches
+// hold exactly those tasks.
+void expect_consistent_run(const FastzRun& run, const std::string& label) {
+  EXPECT_EQ(run.census.total, run.seeds) << label;
+  EXPECT_EQ(run.census.total, run.eager_handled + run.executor_tasks) << label;
+  EXPECT_EQ(run.inspector_cost.tasks, run.seeds) << label;
+  EXPECT_EQ(run.executor_cost.tasks, run.executor_tasks) << label;
+  EXPECT_LE(run.hirschberg_tasks, run.executor_tasks) << label;
+}
+
+FastzRun derive_profiled(const FastzStudy& study, const gpusim::DeviceSpec& device) {
+  gpusim::ProfilerSession session;
+  const gpusim::ScopedProfiler scoped(session);
+  return study.derive(FastzConfig::full(), device);
+}
+
+void expect_same_model(const FastzRun& x, const FastzRun& y, const std::string& label) {
+  EXPECT_EQ(x.modeled.inspector_s, y.modeled.inspector_s) << label;
+  EXPECT_EQ(x.modeled.executor_s, y.modeled.executor_s) << label;
+  EXPECT_EQ(x.modeled.other_s, y.modeled.other_s) << label;
+  EXPECT_EQ(x.inspector_launches, y.inspector_launches) << label;
+  EXPECT_EQ(x.executor_kernels, y.executor_kernels) << label;
+  EXPECT_EQ(x.inspector_cost.warp_instructions + x.executor_cost.warp_instructions,
+            y.inspector_cost.warp_instructions + y.executor_cost.warp_instructions)
       << label;
 }
 
@@ -58,34 +64,9 @@ TEST(Dispatch, ArmsAgreeFunctionallyAcrossTheCorpus) {
     if (c.a.size() == 0 || c.b.size() == 0) continue;  // degenerate empties
     const std::string label = std::string("kind=") + testing::case_kind_name(kind);
     const FastzStudy study(c.a, c.b, c.params, c.pipeline);
-    const FastzRun legacy = study.derive(FastzConfig::legacy_dispatch(), device);
-    const FastzRun batched = study.derive(FastzConfig::full(), device);
-    expect_same_functional_outcome(legacy, batched, label);
-  }
-}
-
-TEST(Dispatch, AlignmentsAreBitIdenticalBetweenArms) {
-  const gpusim::DeviceSpec device = gpusim::rtx3080_ampere();
-  for (const std::uint64_t seed : {57ull, 91ull, 202ull}) {
-    auto c = make_case_of_kind(seed, CaseKind::kPipeline);
-    std::vector<Alignment> legacy_alns;
-    std::vector<Alignment> batched_alns;
-    (void)run_fastz(c.a, c.b, c.params, c.pipeline, FastzConfig::legacy_dispatch(),
-                    device, &legacy_alns);
-    (void)run_fastz(c.a, c.b, c.params, c.pipeline, FastzConfig::full(), device,
-                    &batched_alns);
-    ASSERT_FALSE(legacy_alns.empty()) << "seed " << seed;
-    ASSERT_EQ(legacy_alns.size(), batched_alns.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < legacy_alns.size(); ++i) {
-      const std::string label = "seed " + std::to_string(seed) + " alignment " +
-                                std::to_string(i);
-      EXPECT_EQ(legacy_alns[i].a_begin, batched_alns[i].a_begin) << label;
-      EXPECT_EQ(legacy_alns[i].a_end, batched_alns[i].a_end) << label;
-      EXPECT_EQ(legacy_alns[i].b_begin, batched_alns[i].b_begin) << label;
-      EXPECT_EQ(legacy_alns[i].b_end, batched_alns[i].b_end) << label;
-      EXPECT_EQ(legacy_alns[i].score, batched_alns[i].score) << label;
-      EXPECT_EQ(legacy_alns[i].ops, batched_alns[i].ops) << label;
-    }
+    const FastzRun plain = study.derive(FastzConfig::full(), device);
+    expect_consistent_run(plain, label);
+    expect_same_model(plain, derive_profiled(study, device), label + " profiled");
   }
 }
 
@@ -94,32 +75,22 @@ TEST(Dispatch, ThreadCountChangesNeitherArm) {
   const gpusim::DeviceSpec device = gpusim::rtx3080_ampere();
   c.pipeline.threads = 1;
   const FastzStudy serial(c.a, c.b, c.params, c.pipeline);
-  const FastzRun legacy1 = serial.derive(FastzConfig::legacy_dispatch(), device);
-  const FastzRun batched1 = serial.derive(FastzConfig::full(), device);
+  const FastzRun plain1 = serial.derive(FastzConfig::full(), device);
+  const FastzRun profiled1 = derive_profiled(serial, device);
   for (const std::size_t threads : {2, 5}) {
     c.pipeline.threads = threads;
     const FastzStudy parallel(c.a, c.b, c.params, c.pipeline);
-    const FastzRun legacyN = parallel.derive(FastzConfig::legacy_dispatch(), device);
-    const FastzRun batchedN = parallel.derive(FastzConfig::full(), device);
     const std::string label = "threads=" + std::to_string(threads);
     // Bit-equal modeled times: the derive consumes seed-index-ordered
     // metrics, so the worker count of the functional pass cannot leak into
-    // either arm's schedule.
-    EXPECT_EQ(legacy1.modeled.inspector_s, legacyN.modeled.inspector_s) << label;
-    EXPECT_EQ(legacy1.modeled.executor_s, legacyN.modeled.executor_s) << label;
-    EXPECT_EQ(legacy1.modeled.other_s, legacyN.modeled.other_s) << label;
-    EXPECT_EQ(batched1.modeled.inspector_s, batchedN.modeled.inspector_s) << label;
-    EXPECT_EQ(batched1.modeled.executor_s, batchedN.modeled.executor_s) << label;
-    EXPECT_EQ(batched1.modeled.other_s, batchedN.modeled.other_s) << label;
-    EXPECT_EQ(batched1.executor_kernels, batchedN.executor_kernels) << label;
-    EXPECT_EQ(batched1.inspector_launches, batchedN.inspector_launches) << label;
+    // the schedule.
+    expect_same_model(plain1, parallel.derive(FastzConfig::full(), device), label);
+    expect_same_model(profiled1, derive_profiled(parallel, device), label + " profiled");
   }
 }
 
-// Chromosome-scale assertions share one prepared harness pair (the fig7/fig9
-// workload at smoke scale, ~4k seeds): the schedule claims — launch-count
-// collapse, makespan gain, balance, imbalance — only mean anything where the
-// legacy arm actually launches many kernels.
+// Chromosome-scale assertions share one prepared harness pair (C1_5,5, the
+// fig7/fig9 workload at smoke scale, ~4k seeds).
 class DispatchAtScale : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -144,70 +115,63 @@ class DispatchAtScale : public ::testing::Test {
 
 std::vector<PreparedPair>* DispatchAtScale::prepared_ = nullptr;
 
-TEST_F(DispatchAtScale, BatchedCollapsesLaunchCount) {
-  const gpusim::DeviceSpec device = default_devices().ampere;
-  const FastzRun legacy = study().derive(FastzConfig::legacy_dispatch(), device);
-  const FastzRun batched = study().derive(FastzConfig::full(), device);
-  expect_same_functional_outcome(legacy, batched, "harness pair");
-  const std::uint64_t legacy_launches =
-      legacy.inspector_launches + legacy.executor_kernels;
-  const std::uint64_t batched_launches =
-      batched.inspector_launches + batched.executor_kernels;
-  // Legacy: one inspector chunk per `inspector_chunk` seeds plus per-bin
-  // executor kernels. Batched: the chunk structure's handful, independent
-  // of the seed count.
-  EXPECT_GE(legacy.inspector_launches, 4u);
-  EXPECT_LT(batched_launches, legacy_launches);
-  // 3x at this smoke scale (8+4 vs 2+2); the reduction grows with seeds
-  // (the >= 5x acceptance number is gated at bench scale by
-  // bench_dispatch_ab / BENCH_dispatch_smoke.json, where the legacy arm
-  // launches one chunk per 512 of ~12k seeds).
-  EXPECT_GE(static_cast<double>(legacy_launches) /
-                static_cast<double>(batched_launches),
-            2.5);
-  const FastzConfig full = FastzConfig::full();
-  EXPECT_LE(batched.inspector_launches, full.batch_inspector_launches);
-  EXPECT_LE(batched.executor_kernels,
-            std::uint64_t{full.batch_inspector_launches} * 2);
-}
+// Every modeled number derive() reports, pinned bit for bit on the harness
+// pair: FastzConfig::full(), the other four Fig 9 rungs built as
+// bench_fig9_ablation builds them, and shard 0 of 2, on the three GPUs. A
+// refactor of derive(), the batch scheduler or the pipeline scheduler must
+// leave the digest unchanged; a deliberate model change updates it.
+TEST_F(DispatchAtScale, ModeledOutputIsPinned) {
+  struct Rung {
+    const char* name;
+    FastzConfig config;
+    std::uint32_t shards;
+  };
+  std::vector<Rung> rungs;
+  FastzConfig ladder = FastzConfig::load_balance_only();
+  rungs.push_back({"load_balance", ladder, 1});
+  ladder.with_cyclic_buffers();
+  rungs.push_back({"cyclic_buffers", ladder, 1});
+  ladder.with_eager_traceback();
+  rungs.push_back({"eager_traceback", ladder, 1});
+  ladder.with_executor_trimming();
+  ladder.streams = 1;
+  rungs.push_back({"single_stream", ladder, 1});
+  rungs.push_back({"full", FastzConfig::full(), 1});
+  rungs.push_back({"full shard 0/2", FastzConfig::full(), 2});
 
-TEST_F(DispatchAtScale, BatchedMakespanDoesNotLose) {
-  // The tentpole's perf claim, pinned at test scale: removing the phase
-  // barrier and the per-chunk launch overheads must not make the modeled
-  // end-to-end time worse.
-  const gpusim::DeviceSpec device = default_devices().ampere;
-  const FastzRun legacy = study().derive(FastzConfig::legacy_dispatch(), device);
-  const FastzRun batched = study().derive(FastzConfig::full(), device);
-  EXPECT_LT(batched.modeled.total_s(), legacy.modeled.total_s());
-  // The host-side share is dispatch-independent.
-  EXPECT_EQ(legacy.modeled.other_s, batched.modeled.other_s);
-}
-
-TEST_F(DispatchAtScale, BalancePackingDoesNotLose) {
-  const gpusim::DeviceSpec device = default_devices().ampere;
-  FastzConfig unbalanced = FastzConfig::full();
-  unbalanced.batch_balance = false;
-  const FastzRun balanced = study().derive(FastzConfig::full(), device);
-  const FastzRun seed_order = study().derive(unbalanced, device);
-  EXPECT_LE(balanced.modeled.total_s(),
-            seed_order.modeled.total_s() * (1.0 + 1e-9));
-  // Balance is a schedule-only knob: launch structure is unchanged.
-  EXPECT_EQ(balanced.executor_kernels, seed_order.executor_kernels);
-  EXPECT_EQ(balanced.inspector_launches, seed_order.inspector_launches);
-}
-
-TEST_F(DispatchAtScale, InspectorLaunchKnobSetsPipelineGranularity) {
-  const gpusim::DeviceSpec device = default_devices().ampere;
-  const FastzRun legacy = study().derive(FastzConfig::legacy_dispatch(), device);
-  for (const std::uint32_t chunks : {1u, 2u, 4u}) {
-    FastzConfig config = FastzConfig::full();
-    config.batch_inspector_launches = chunks;
-    const FastzRun run = study().derive(config, device);
-    EXPECT_EQ(run.inspector_launches, chunks) << "chunks " << chunks;
-    EXPECT_LE(run.executor_kernels, std::uint64_t{chunks} * 2)
-        << "chunks " << chunks;
-    expect_same_functional_outcome(legacy, run, "chunks=" + std::to_string(chunks));
+  const DeviceSet devices = default_devices();
+  const std::pair<const char*, gpusim::DeviceSpec> gpus[] = {
+      {"pascal", devices.pascal}, {"volta", devices.volta}, {"ampere", devices.ampere}};
+  DigestBuilder digest;
+  std::ostringstream table;
+  table.precision(17);
+  for (const Rung& rung : rungs) {
+    for (const auto& [gpu, spec] : gpus) {
+      const FastzRun run = study().derive(rung.config, spec, rung.shards, 0);
+      for (const double t : {run.modeled.inspector_s, run.modeled.executor_s,
+                             run.modeled.other_s}) {
+        digest.update_u64(std::bit_cast<std::uint64_t>(t));
+      }
+      digest.update_u64(run.inspector_launches);
+      digest.update_u64(run.executor_kernels);
+      table << rung.name << " / " << gpu << ": inspector_s " << run.modeled.inspector_s
+            << ", executor_s " << run.modeled.executor_s << ", other_s "
+            << run.modeled.other_s << ", launches " << run.inspector_launches << " + "
+            << run.executor_kernels << "\n";
+    }
   }
+  EXPECT_EQ(digest.finish().hex(), "519746742d637be7681dcddea4f33b0a") << table.str();
+}
+
+TEST_F(DispatchAtScale, BatchedCollapsesLaunchCount) {
+  // Two inspector launches and, with nothing split on a 10 GB budget and
+  // no Hirschberg task, one packed executor launch per inspector chunk —
+  // independent of the ~4k seeds.
+  const FastzRun run = study().derive(FastzConfig::full(), default_devices().ampere);
+  expect_consistent_run(run, "harness pair");
+  EXPECT_EQ(run.hirschberg_tasks, 0u);
+  EXPECT_EQ(run.inspector_launches, 2u);
+  EXPECT_EQ(run.executor_kernels, 2u);
 }
 
 TEST_F(DispatchAtScale, ProfiledBatchedRunModelsIdenticalCosts) {
@@ -223,28 +187,6 @@ TEST_F(DispatchAtScale, ProfiledBatchedRunModelsIdenticalCosts) {
   EXPECT_DOUBLE_EQ(profiled.modeled.inspector_s, plain.modeled.inspector_s);
   EXPECT_DOUBLE_EQ(profiled.modeled.executor_s, plain.modeled.executor_s);
   EXPECT_DOUBLE_EQ(profiled.modeled.total_s(), plain.modeled.total_s());
-}
-
-TEST_F(DispatchAtScale, BatchedImbalanceNotWorseThanLegacy) {
-  // ISSUE acceptance: load_imbalance() under the batched arm must be no
-  // worse than legacy on a real workload (span-weighted mean over kernels).
-  const gpusim::DeviceSpec device = default_devices().ampere;
-  gpusim::ProfilerSession legacy_session;
-  {
-    const gpusim::ScopedProfiler scoped(legacy_session);
-    (void)study().derive(FastzConfig::legacy_dispatch(), device);
-  }
-  gpusim::ProfilerSession batched_session;
-  {
-    const gpusim::ScopedProfiler scoped(batched_session);
-    (void)study().derive(FastzConfig::full(), device);
-  }
-  const ProfileSummary legacy = summarize_profile(legacy_session);
-  const ProfileSummary batched = summarize_profile(batched_session);
-  ASSERT_GT(legacy.kernels, 0u);
-  ASSERT_GT(batched.kernels, 0u);
-  EXPECT_LE(batched.mean_load_imbalance,
-            legacy.mean_load_imbalance * (1.0 + 1e-9));
 }
 
 }  // namespace

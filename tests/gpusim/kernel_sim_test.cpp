@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "gpusim/memory_ledger.hpp"
 
 namespace fastz::gpusim {
@@ -9,9 +12,21 @@ namespace {
 
 KernelSimulator make_sim() { return KernelSimulator(rtx3080_ampere()); }
 
+// Launches of the given task lists, with no dependencies or allocations.
+std::vector<StreamLaunch> launches_of(std::vector<std::vector<WarpTask>> chunks) {
+  std::vector<StreamLaunch> launches(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) launches[i].tasks = std::move(chunks[i]);
+  return launches;
+}
+
+// One bulk-synchronous kernel: a single launch on one lane.
+KernelCost run_one(const KernelSimulator& sim, std::vector<WarpTask> tasks) {
+  return sim.run_pipeline(launches_of({std::move(tasks)}), 1, 0).launches.front();
+}
+
 TEST(KernelSim, EmptyKernelCostsLaunchOnly) {
   const KernelSimulator sim = make_sim();
-  const KernelCost c = sim.run_kernel({});
+  const KernelCost c = run_one(sim, {});
   EXPECT_DOUBLE_EQ(c.time_s, sim.spec().kernel_launch_overhead_s);
   EXPECT_EQ(c.tasks, 0u);
 }
@@ -20,8 +35,8 @@ TEST(KernelSim, UniformTasksScaleWithCount) {
   const KernelSimulator sim = make_sim();
   std::vector<WarpTask> small(sim.slot_count(), {1000, 0});
   std::vector<WarpTask> big(sim.slot_count() * 10, {1000, 0});
-  const double t_small = sim.run_kernel(small).compute_time_s;
-  const double t_big = sim.run_kernel(big).compute_time_s;
+  const double t_small = run_one(sim, small).compute_time_s;
+  const double t_big = run_one(sim, big).compute_time_s;
   EXPECT_NEAR(t_big / t_small, 10.0, 0.01);
 }
 
@@ -31,7 +46,7 @@ TEST(KernelSim, BulkSynchronyExposesLongTaskTail) {
   const KernelSimulator sim = make_sim();
   std::vector<WarpTask> tasks(10000, {100, 0});
   tasks.push_back({1'000'000, 0});
-  const KernelCost c = sim.run_kernel(tasks);
+  const KernelCost c = run_one(sim, tasks);
   EXPECT_GE(c.compute_time_s, sim.task_time_s({1'000'000, 0}));
 }
 
@@ -39,15 +54,15 @@ TEST(KernelSim, MemoryRooflineBinds) {
   const KernelSimulator sim = make_sim();
   // Tiny compute, huge traffic: memory time must dominate.
   std::vector<WarpTask> tasks(100, {10, 100'000'000});
-  const KernelCost c = sim.run_kernel(tasks);
+  const KernelCost c = run_one(sim, tasks);
   EXPECT_TRUE(c.memory_bound());
   EXPECT_NEAR(c.memory_time_s,
               100.0 * 100e6 / sim.spec().sustained_bandwidth_bytes_per_s(), 1e-9);
 }
 
 TEST(KernelSim, StreamsOverlapChunkTails) {
-  // Chunks each containing one long task: serialized (1 stream) they pay
-  // every tail; pooled (32 streams) the tails overlap.
+  // Launches each containing one long task: on one lane they pay every
+  // tail in turn; on 32 lanes the tails overlap.
   const KernelSimulator sim = make_sim();
   std::vector<std::vector<WarpTask>> chunks;
   for (int c = 0; c < 16; ++c) {
@@ -55,19 +70,20 @@ TEST(KernelSim, StreamsOverlapChunkTails) {
     chunk.push_back({200'000, 0});
     chunks.push_back(std::move(chunk));
   }
-  const double single = sim.run_streamed(chunks, 1).time_s;
-  const double multi = sim.run_streamed(chunks, 32).time_s;
+  const std::vector<StreamLaunch> launches = launches_of(std::move(chunks));
+  const double single = sim.run_pipeline(launches, 1, 0).total.time_s;
+  const double multi = sim.run_pipeline(launches, 32, 0).total.time_s;
   EXPECT_GT(single, multi * 1.5);
 }
 
 TEST(KernelSim, StreamedPreservesTotals) {
   const KernelSimulator sim = make_sim();
-  std::vector<std::vector<WarpTask>> chunks = {
+  const std::vector<StreamLaunch> launches = launches_of({
       {{100, 10}, {200, 20}},
       {{300, 30}},
-  };
+  });
   for (std::uint32_t streams : {1u, 32u}) {
-    const KernelCost c = sim.run_streamed(chunks, streams);
+    const KernelCost c = sim.run_pipeline(launches, streams, 0).total;
     EXPECT_EQ(c.tasks, 3u);
     EXPECT_EQ(c.warp_instructions, 600u);
     EXPECT_EQ(c.mem_bytes, 60u);
@@ -87,7 +103,7 @@ TEST(KernelSim, ThroughputRooflineBindsForManySmallTasks) {
   // makespan, must set the kernel time.
   const KernelSimulator sim = make_sim();
   std::vector<WarpTask> tasks(50000, {500, 0});
-  const KernelCost c = sim.run_kernel(tasks);
+  const KernelCost c = run_one(sim, tasks);
   const double throughput_s = 50000.0 * 500.0 * sim.spec().divergence_derate /
                               sim.spec().sustained_warp_issue_per_s();
   EXPECT_NEAR(c.compute_time_s, throughput_s, throughput_s * 0.01);

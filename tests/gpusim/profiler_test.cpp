@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gpusim/kernel_sim.hpp"
 
@@ -17,6 +21,19 @@ KernelTag named_tag(std::string name, std::string phase) {
   tag.name = std::move(name);
   tag.phase = std::move(phase);
   return tag;
+}
+
+StreamLaunch launch_of(std::vector<WarpTask> tasks) {
+  StreamLaunch launch;
+  launch.tasks = std::move(tasks);
+  return launch;
+}
+
+// One bulk-synchronous kernel: a single launch on one lane.
+KernelCost run_one(const KernelSimulator& sim, std::vector<WarpTask> tasks,
+                   const KernelTag& tag = KernelTag{}) {
+  const StreamLaunch launch = launch_of(std::move(tasks));
+  return sim.run_pipeline(std::span(&launch, 1), 1, 0, std::span(&tag, 1)).launches.front();
 }
 
 DeviceSpec unit_device() {
@@ -48,7 +65,7 @@ TEST(HwCounters, ExactValuesOnKnownWarpLayout) {
 
   ProfilerSession session;
   const ScopedProfiler scoped(session);
-  const KernelCost cost = sim.run_kernel(tasks, named_tag("k", "test"));
+  const KernelCost cost = run_one(sim, tasks, named_tag("k", "test"));
 
   ASSERT_EQ(session.kernel_count(), 1u);
   const KernelProfile profile = session.kernels()[0];
@@ -76,7 +93,7 @@ TEST(HwCounters, DivergenceDerateScalesIssuedCycles) {
 
   ProfilerSession session;
   const ScopedProfiler scoped(session);
-  sim.run_kernel(tasks, KernelTag{});
+  run_one(sim, tasks);
 
   const HwCounters c = session.kernels()[0].counters;
   // 1000 raw instructions expand to 2000 issued; the lone warp runs 2 us
@@ -152,8 +169,8 @@ TEST(ProfilerSession, TagsAndTimelineAreRecorded) {
   tag.phase = "executor";
   tag.bin = 2;
   tag.shard = 1;
-  sim.run_kernel(tasks, tag);
-  sim.run_kernel(tasks, named_tag("inspector", "inspector"));
+  run_one(sim, tasks, tag);
+  run_one(sim, tasks, named_tag("inspector", "inspector"));
 
   const auto kernels = session.kernels();
   ASSERT_EQ(kernels.size(), 2u);
@@ -172,13 +189,13 @@ TEST(ProfilerSession, TagsAndTimelineAreRecorded) {
 TEST(ProfilerSession, CostsIdenticalWithAndWithoutProfiling) {
   const KernelSimulator sim(unit_device());
   const std::vector<WarpTask> tasks = {{3000, 64}, {1000, 32}, {500, 16}};
-  const KernelCost plain = sim.run_kernel(tasks);
+  const KernelCost plain = run_one(sim, tasks);
 
   ProfilerSession session;
   KernelCost profiled;
   {
     const ScopedProfiler scoped(session);
-    profiled = sim.run_kernel(tasks);
+    profiled = run_one(sim, tasks);
   }
   EXPECT_DOUBLE_EQ(profiled.time_s, plain.time_s);
   EXPECT_DOUBLE_EQ(profiled.compute_time_s, plain.compute_time_s);
@@ -192,65 +209,76 @@ TEST(ProfilerSession, InactiveSessionRecordsNothing) {
   const std::vector<WarpTask> tasks = {{100, 0}};
 
   ProfilerSession session;
-  sim.run_kernel(tasks);  // not installed
+  run_one(sim, tasks);  // not installed
   EXPECT_EQ(session.kernel_count(), 0u);
   EXPECT_EQ(ProfilerSession::active(), nullptr);
 
   {
     const ScopedProfiler scoped(session);
     EXPECT_EQ(ProfilerSession::active(), &session);
-    sim.run_kernel(tasks);
+    run_one(sim, tasks);
   }
   EXPECT_EQ(ProfilerSession::active(), nullptr);  // scope uninstalls
-  sim.run_kernel(tasks);
+  run_one(sim, tasks);
   EXPECT_EQ(session.kernel_count(), 1u);
 }
 
 TEST(ProfilerSession, StreamedLaunchesRoundRobinStreamsAndScaleTimeline) {
+  // Four launches of two k-us tasks (k = 1..4) on two lanes: the lanes
+  // alternate (0,1,0,1) and end at 6 us, but the device co-issues at most
+  // 2 instructions per ns, so the 20000-instruction aggregate needs 10 us
+  // and the whole timeline stretches to it.
   const KernelSimulator sim(unit_device());
-  const std::vector<std::vector<WarpTask>> chunks = {
-      {{1000, 0}}, {{2000, 0}}, {{3000, 0}}, {{4000, 0}}};
-  KernelTag base = named_tag("executor.bin1", "executor");
-  base.bin = 1;
+  std::vector<StreamLaunch> launches;
+  std::vector<KernelTag> tags;
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    launches.push_back(launch_of(std::vector<WarpTask>(2, WarpTask{k * 1000, 0})));
+    KernelTag tag = named_tag("executor.batch" + std::to_string(k), "executor");
+    tag.bin = 1;
+    tags.push_back(std::move(tag));
+  }
 
   ProfilerSession session;
-  KernelCost total;
+  PipelineRun run;
   {
     const ScopedProfiler scoped(session);
-    total = sim.run_streamed(chunks, 2, std::span<const KernelTag>(&base, 1));
+    run = sim.run_pipeline(launches, 2, 0, tags);
   }
 
   const auto kernels = session.kernels();
   ASSERT_EQ(kernels.size(), 4u);
   double latest = 0.0;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
-    EXPECT_EQ(kernels[i].tag.name, "executor.bin1");
+    EXPECT_EQ(kernels[i].tag.name, tags[i].name);
     EXPECT_EQ(kernels[i].tag.bin, 1);
     EXPECT_EQ(kernels[i].tag.stream, static_cast<std::uint32_t>(i % 2));
+    // Intervals are stretched past the launch's standalone cost.
+    EXPECT_GT(kernels[i].end_s - kernels[i].start_s, kernels[i].cost.time_s);
     latest = std::max(latest, kernels[i].end_s);
   }
-  // Intervals are scaled so the longest stream lane matches the pooled
-  // (overlapped) modeled time exactly.
-  EXPECT_NEAR(latest, total.time_s, 1e-15);
-  EXPECT_DOUBLE_EQ(session.now_s(), total.time_s);
+  // The last interval ends exactly at the overlapped modeled time.
+  EXPECT_NEAR(run.total.time_s, 10e-6, 1e-15);
+  EXPECT_NEAR(latest, run.total.time_s, 1e-15);
+  EXPECT_DOUBLE_EQ(session.now_s(), run.total.time_s);
 }
 
 TEST(ProfilerSession, SerializedStreamsStackEndToEnd) {
   const KernelSimulator sim(unit_device());
-  const std::vector<std::vector<WarpTask>> chunks = {{{1000, 0}}, {{2000, 0}}};
+  const std::vector<StreamLaunch> launches = {launch_of({{1000, 0}}),
+                                             launch_of({{2000, 0}})};
 
   ProfilerSession session;
-  KernelCost total;
+  PipelineRun run;
   {
     const ScopedProfiler scoped(session);
-    total = sim.run_streamed(chunks, 1);
+    run = sim.run_pipeline(launches, 1, 0);
   }
   const auto kernels = session.kernels();
   ASSERT_EQ(kernels.size(), 2u);
   EXPECT_EQ(kernels[0].tag.stream, 0u);
   EXPECT_EQ(kernels[1].tag.stream, 0u);
   EXPECT_DOUBLE_EQ(kernels[1].start_s, kernels[0].end_s);
-  EXPECT_NEAR(kernels[1].end_s, total.time_s, 1e-15);
+  EXPECT_NEAR(kernels[1].end_s, run.total.time_s, 1e-15);
 }
 
 TEST(ProfilerSession, SeedTallyDrivesEagerHitRate) {
@@ -271,7 +299,7 @@ TEST(ProfilerSession, EmptyLaunchStillProfiled) {
   const KernelSimulator sim(unit_device());
   ProfilerSession session;
   const ScopedProfiler scoped(session);
-  const KernelCost cost = sim.run_kernel({}, named_tag("empty", ""));
+  const KernelCost cost = run_one(sim, {}, named_tag("empty", ""));
   ASSERT_EQ(session.kernel_count(), 1u);
   const HwCounters c = session.kernels()[0].counters;
   EXPECT_EQ(c.tasks, 0u);
