@@ -1,27 +1,39 @@
-// Microbenchmark for PR 5's two host-side optimizations:
+// Microbenchmark for the host-side functional pass, in three parts:
 //
 //   1. The parallel functional pass: FastzStudy's per-seed inspect/execute
 //      loop on a thread pool vs the serial path, A/B-interleaved with
 //      min-of-repeats so OS noise cancels. The two studies are verified to
 //      produce identical alignments before any time is reported.
-//   2. The strip kernel's SoA fast path: the pointer-rotated SoA sweep
-//      (instrumented and branch-light variants) vs the retained AoS
-//      reference, on chromosome windows spanning multiple 32-lane strips.
+//   2. The strip kernel's SoA sweep (instrumented and branch-light
+//      variants) vs the retained AoS reference, on chromosome windows
+//      spanning multiple 32-lane strips.
+//   3. The y-drop row core, scalar vs the active SIMD ISA, over the
+//      inspector's own side searches of the pair. Every side is first
+//      checked against forced scalar (exit nonzero on any divergence).
+//
+// Parts 2 and 3 time their arms paired per item (window or side) with a
+// rotating arm order, so host speed drift between arms cancels inside each
+// group; each speedup is the median over repeats of the summed-time ratio.
 //
 // On a single-core host the functional-pass speedup degenerates to ~1x (or
 // slightly below — pool overhead); the interesting single-core number is
 // the serial-path regression, which must stay within noise of the
 // pre-refactor loop.
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "align/seq_view.hpp"
+#include "align/ydrop_align.hpp"
 #include "fastz/fastz_pipeline.hpp"
 #include "fastz/strip_kernel.hpp"
 #include "report/experiment.hpp"
+#include "seed/seed_index.hpp"
 #include "sequence/benchmark_pairs.hpp"
 #include "telemetry/bench_report.hpp"
 #include "util/cli.hpp"
@@ -47,6 +59,63 @@ double min_time_s(int repeats, Fn&& fn) {
   return best;
 }
 
+// Paired timing: every item runs all arms back to back, the arm order
+// rotating with item and repeat, so host speed drift between arms cancels
+// inside each group. Returns each repeat's summed seconds per arm.
+template <std::size_t N>
+std::vector<std::array<double, N>> paired_sums(
+    int repeats, std::size_t items,
+    const std::array<std::function<void(std::size_t)>, N>& arms) {
+  std::vector<std::array<double, N>> sums(static_cast<std::size_t>(repeats),
+                                          std::array<double, N>{});
+  for (std::size_t rep = 0; rep < sums.size(); ++rep) {
+    for (std::size_t k = 0; k < items; ++k) {
+      for (std::size_t q = 0; q < N; ++q) {
+        const std::size_t arm = (k + rep + q) % N;
+        Timer timer;
+        arms[arm](k);
+        sums[rep][arm] += timer.elapsed_s();
+      }
+    }
+  }
+  return sums;
+}
+
+// Median over repeats of arm `num`'s summed time over arm `den`'s.
+template <std::size_t N>
+double median_ratio(const std::vector<std::array<double, N>>& sums, std::size_t num,
+                    std::size_t den) {
+  std::vector<double> ratios;
+  for (const auto& rep : sums) ratios.push_back(rep[num] / rep[den]);
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
+// Fastest repeat's summed time for one arm.
+template <std::size_t N>
+double min_sum(const std::vector<std::array<double, N>>& sums, std::size_t arm) {
+  double best = sums.front()[arm];
+  for (const auto& rep : sums) best = std::min(best, rep[arm]);
+  return best;
+}
+
+void check_same_search(const OneSidedResult& want, const OneSidedResult& got,
+                       const char* isa, std::size_t side) {
+  const bool same_bounds =
+      want.row_bounds.size() == got.row_bounds.size() &&
+      std::equal(want.row_bounds.begin(), want.row_bounds.end(), got.row_bounds.begin(),
+                 [](const RowBounds& x, const RowBounds& y) {
+                   return x.lo == y.lo && x.hi == y.hi;
+                 });
+  if (got.best.score != want.best.score || got.best.i != want.best.i ||
+      got.best.j != want.best.j || got.cells != want.cells || got.ops != want.ops ||
+      !same_bounds) {
+    throw std::runtime_error(std::string("y-drop row core (") + isa +
+                             ") diverged from forced scalar on inspector side " +
+                             std::to_string(side));
+  }
+}
+
 void check_identical(const FastzStudy& serial, const FastzStudy& parallel) {
   if (serial.seeds() != parallel.seeds() ||
       serial.inspector_cells() != parallel.inspector_cells() ||
@@ -69,7 +138,8 @@ void check_identical(const FastzStudy& serial, const FastzStudy& parallel) {
 int main(int argc, char** argv) {
   CliParser cli(
       "Functional-pass microbenchmark: serial vs multi-threaded FastzStudy "
-      "construction, and AoS-reference vs SoA strip-kernel sweeps.");
+      "construction, AoS-reference vs SoA strip-kernel sweeps, and the y-drop "
+      "row core's scalar vs SIMD inspector searches.");
   add_harness_flags(cli);
   cli.add_flag("repeats", "A/B-interleaved measurement repeats (minimum 3)", "5");
   cli.add_flag("kernel-window", "strip-kernel rectangle side (bp)", "512");
@@ -138,108 +208,116 @@ int main(int argc, char** argv) {
 
   std::uint64_t aos_cells = 0;
   std::uint64_t soa_cells = 0;
-  double aos_min = 0.0;
-  double soa_min = 0.0;
-  double soa_fast_min = 0.0;
-  for (int rep = 0; rep < repeats; ++rep) {
-    aos_cells = 0;
-    const double a = min_time_s(1, [&] {
-      for (const auto& [va, vb] : views)
-        aos_cells += strip_rectangle_dp_reference(va, vb, params, false).cells;
-    });
-    soa_cells = 0;
-    const double s = min_time_s(1, [&] {
-      for (const auto& [va, vb] : views)
-        soa_cells += strip_rectangle_dp(va, vb, params, instrumented).cells;
-    });
-    const double f = min_time_s(1, [&] {
-      for (const auto& [va, vb] : views)
-        (void)strip_rectangle_dp(va, vb, params, fast);
-    });
-    if (rep == 0 || a < aos_min) aos_min = a;
-    if (rep == 0 || s < soa_min) soa_min = s;
-    if (rep == 0 || f < soa_fast_min) soa_fast_min = f;
+  for (const auto& [va, vb] : views) {
+    aos_cells += strip_rectangle_dp_reference(va, vb, params, false).cells;
+    soa_cells += strip_rectangle_dp(va, vb, params, instrumented).cells;
   }
   if (aos_cells != soa_cells) {
     throw std::runtime_error("SoA kernel cell count diverged from AoS reference");
   }
+  // Arms: 0 = AoS reference, 1 = SoA with census, 2 = SoA branch-light.
+  const auto kernel_sums = paired_sums<3>(
+      repeats, views.size(),
+      {[&](std::size_t w) {
+         (void)strip_rectangle_dp_reference(views[w].first, views[w].second, params, false);
+       },
+       [&](std::size_t w) {
+         (void)strip_rectangle_dp(views[w].first, views[w].second, params, instrumented);
+       },
+       [&](std::size_t w) {
+         (void)strip_rectangle_dp(views[w].first, views[w].second, params, fast);
+       }});
+  const double aos_min = min_sum(kernel_sums, 0);
+  const double soa_min = min_sum(kernel_sums, 1);
+  const double soa_fast_min = min_sum(kernel_sums, 2);
+  const double soa_speedup = median_ratio(kernel_sums, 0, 1);
+  const double soa_fast_speedup = median_ratio(kernel_sums, 0, 2);
 
   std::cout << "\n=== Strip kernel (" << windows << " windows of " << window << " x "
             << window << " bp, " << aos_cells << " cells/sweep) ===\n";
   TextTable kernel({"Variant", "Min wallclock (ms)", "GCUPS", "Speedup vs AoS"});
-  auto kernel_row = [&](const char* name, double t) {
+  auto kernel_row = [&](const char* name, double t, double speedup) {
     kernel.add_row({name, TextTable::num(t * 1e3, 2),
                     TextTable::num(static_cast<double>(aos_cells) / t * 1e-9, 3),
-                    TextTable::num(aos_min / t, 2)});
+                    TextTable::num(speedup, 2)});
   };
-  kernel_row("aos_reference (census)", aos_min);
-  kernel_row("soa (census)", soa_min);
-  kernel_row("soa fast (no census)", soa_fast_min);
+  kernel_row("aos_reference (census)", aos_min, 1.0);
+  kernel_row("soa (census)", soa_min, soa_speedup);
+  kernel_row("soa fast (no census)", soa_fast_min, soa_fast_speedup);
   kernel.render(std::cout, false);
+  std::cout << "(speedups: median over repeats of the per-window paired sums)\n";
 
-  // --- Part 3: strip kernel, scalar vs SIMD (interleaved A/B) -------------
-  // The vectorized sweep must be bit-identical to the forced-scalar sweep —
-  // checked field-for-field (trace included) before anything is timed, and
-  // the process exits nonzero on any divergence. Timing interleaves the two
-  // variants per repeat so thermal / scheduler drift cancels.
+  // --- Part 3: y-drop row core, scalar vs SIMD (paired per side) ---------
+  // The inspector's own side searches of this pair: the seed hits the pass
+  // finds (same index, cap and sample seed), each extended left and right
+  // with inspect_side's options — conservative pruning, score only, row
+  // bounds on. Each side must match forced scalar (best cell, cells, row
+  // bounds, and the traced ops of the same search) before anything is
+  // timed.
   const simd::Isa simd_isa = simd::active_isa();
-  double scalar_min = 0.0;
-  double simd_min = 0.0;
-  {
-    StripKernelOptions traced;
-    traced.want_traceback = true;
-    for (const auto& [va, vb] : views) {
-      StripKernelResult want;
+  const SpacedSeed seed = SpacedSeed::lastz_default();
+  const std::vector<SeedHit> hits =
+      SeedIndex(data.a, seed, serial_opts.index_step)
+          .find_hits(data.b, serial_opts.max_seeds, serial_opts.sample_seed,
+                     serial_opts.seed_transitions);
+  std::vector<std::pair<SeqView, SeqView>> sides;
+  for (const SeedHit& hit : hits) {
+    const std::size_t anchor_a = hit.a_pos + seed.span() / 2;
+    const std::size_t anchor_b = hit.b_pos + seed.span() / 2;
+    sides.emplace_back(reverse_view(data.a.codes(), anchor_a),
+                       reverse_view(data.b.codes(), anchor_b));
+    sides.emplace_back(forward_view(data.a.codes(), anchor_a, data.a.size()),
+                       forward_view(data.b.codes(), anchor_b, data.b.size()));
+  }
+  OneSidedOptions search = serial_opts.one_sided;
+  search.prune = PruneMode::kConservative;
+  search.want_traceback = false;
+  search.record_row_bounds = true;
+  OneSidedOptions traced = search;
+  traced.want_traceback = true;
+
+  std::uint64_t side_cells = 0;
+  for (std::size_t k = 0; k < sides.size(); ++k) {
+    const auto& [va, vb] = sides[k];
+    for (const OneSidedOptions& opts : {search, traced}) {
+      OneSidedResult want;
       {
         simd::ScopedIsa force(simd::Isa::kScalar);
-        want = strip_rectangle_dp(va, vb, params, traced);
+        want = ydrop_one_sided_align(va, vb, params, opts);
       }
       simd::ScopedIsa force(simd_isa);
-      const StripKernelResult got = strip_rectangle_dp(va, vb, params, traced);
-      if (got.best.score != want.best.score || got.best.i != want.best.i ||
-          got.best.j != want.best.j || got.cells != want.cells ||
-          got.boundary_spill_bytes != want.boundary_spill_bytes ||
-          got.divergence_histogram != want.divergence_histogram ||
-          got.trace != want.trace || got.ops != want.ops) {
-        throw std::runtime_error(std::string("SIMD strip kernel (") +
-                                 simd::isa_name(simd_isa) +
-                                 ") diverged from forced-scalar sweep");
-      }
-    }
-
-    for (int rep = 0; rep < repeats; ++rep) {
-      double s = 0.0;
-      {
-        simd::ScopedIsa force(simd::Isa::kScalar);
-        s = min_time_s(1, [&] {
-          for (const auto& [va, vb] : views)
-            (void)strip_rectangle_dp(va, vb, params, fast);
-        });
-      }
-      double v = 0.0;
-      {
-        simd::ScopedIsa force(simd_isa);
-        v = min_time_s(1, [&] {
-          for (const auto& [va, vb] : views)
-            (void)strip_rectangle_dp(va, vb, params, fast);
-        });
-      }
-      if (rep == 0 || s < scalar_min) scalar_min = s;
-      if (rep == 0 || v < simd_min) simd_min = v;
+      check_same_search(want, ydrop_one_sided_align(va, vb, params, opts),
+                        simd::isa_name(simd_isa), k);
+      if (!opts.want_traceback) side_cells += want.cells;
     }
   }
 
-  std::cout << "\n=== Strip kernel, scalar vs SIMD (score-only, "
+  // Arms: 0 = forced scalar, 1 = the active ISA.
+  const auto run_side = [&](simd::Isa isa, std::size_t k) {
+    simd::ScopedIsa force(isa);
+    (void)ydrop_one_sided_align(sides[k].first, sides[k].second, params, search);
+  };
+  const auto row_sums = paired_sums<2>(
+      repeats, sides.size(),
+      {[&](std::size_t k) { run_side(simd::Isa::kScalar, k); },
+       [&](std::size_t k) { run_side(simd_isa, k); }});
+  const double scalar_min = min_sum(row_sums, 0);
+  const double simd_min = min_sum(row_sums, 1);
+  const double simd_speedup = median_ratio(row_sums, 0, 1);
+
+  std::cout << "\n=== Y-drop row core, scalar vs SIMD (" << sides.size()
+            << " inspector sides, " << side_cells << " cells/sweep, "
             << simd::isa_report() << ") ===\n";
   TextTable ab({"Variant", "Min wallclock (ms)", "GCUPS", "Speedup vs scalar"});
-  auto ab_row = [&](const std::string& name, double t) {
+  auto ab_row = [&](const std::string& name, double t, double speedup) {
     ab.add_row({name, TextTable::num(t * 1e3, 2),
-                TextTable::num(static_cast<double>(aos_cells) / t * 1e-9, 3),
-                TextTable::num(scalar_min / t, 2)});
+                TextTable::num(static_cast<double>(side_cells) / t * 1e-9, 3),
+                TextTable::num(speedup, 2)});
   };
-  ab_row("scalar", scalar_min);
-  ab_row(simd::isa_name(simd_isa), simd_min);
+  ab_row("scalar", scalar_min, 1.0);
+  ab_row(simd::isa_name(simd_isa), simd_min, simd_speedup);
   ab.render(std::cout, false);
+  std::cout << "(speedup: median over repeats of the per-side paired sums)\n";
 
   if (!json_path.empty()) {
     telemetry::BenchReport report("functional_pass");
@@ -247,17 +325,18 @@ int main(int argc, char** argv) {
     add_harness_config(report, options);
     report.add_config("kernel_window", std::to_string(window));
     report.add_config("kernel_windows", std::to_string(windows));
+    report.add_config("row_core_sides", std::to_string(sides.size()));
     report.add_metric("pass.serial_min_s", serial_min);
     report.add_metric("pass.pool_min_s", parallel_min);
     report.add_metric("pass.speedup", serial_min / parallel_min);
     report.add_metric("kernel.aos_min_s", aos_min);
     report.add_metric("kernel.soa_min_s", soa_min);
     report.add_metric("kernel.soa_fast_min_s", soa_fast_min);
-    report.add_metric("kernel.soa_speedup", aos_min / soa_min);
-    report.add_metric("kernel.soa_fast_speedup", aos_min / soa_fast_min);
+    report.add_metric("kernel.soa_speedup", soa_speedup);
+    report.add_metric("kernel.soa_fast_speedup", soa_fast_speedup);
     report.add_metric("kernel.scalar_min_s", scalar_min);
     report.add_metric("kernel.simd_min_s", simd_min);
-    report.add_metric("kernel.simd_speedup", scalar_min / simd_min);
+    report.add_metric("kernel.simd_speedup", simd_speedup);
     if (report.write_file(json_path)) {
       std::cout << "\nwrote " << json_path << "\n";
     } else {

@@ -1,23 +1,13 @@
 #include "align/gotoh_reference.hpp"
 
-#include <array>
-#include <stdexcept>
 #include <vector>
 
-#include "align/row_precompute.hpp"
 #include "align/traceback.hpp"
-#include "util/simd.hpp"
 
 namespace fastz {
 
 ReferenceResult reference_extend(std::span<const BaseCode> a, std::span<const BaseCode> b,
                                  const ScoreParams& params) {
-  return reference_extend(a, b, params, ReferenceOptions{});
-}
-
-ReferenceResult reference_extend(std::span<const BaseCode> a, std::span<const BaseCode> b,
-                                 const ScoreParams& params,
-                                 const ReferenceOptions& options) {
   params.validate();
   const std::size_t m = a.size();
   const std::size_t n = b.size();
@@ -46,34 +36,7 @@ ReferenceResult reference_extend(std::span<const BaseCode> a, std::span<const Ba
     trace[idx(i, 0)] = make_trace(kTraceSrcD, false, i == 1);
   }
 
-  // Optional vectorized precompute of the D candidates and diagonal sums —
-  // per-row values that depend only on the completed previous row. Uses the
-  // *plain* (non-saturating) row kernel: this reference adds without
-  // saturation, and the SIMD pass must stay bit-identical to it. The serial
-  // S/I chain, traceback packing, and best tracking remain scalar.
-  detail::RowPrecomputeFn precompute =
-      options.simd && n >= 8 ? detail::row_precompute_plain_fn(simd::active_isa())
-                             : nullptr;
-  std::array<std::vector<Score>, kAlphabetSize> profile;
-  std::vector<Score> pre_d;
-  std::vector<Score> pre_diag;
-  std::vector<std::uint8_t> pre_opened;
-  if (precompute != nullptr) {
-    for (int c = 0; c < kAlphabetSize; ++c) profile[c].resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      for (int c = 0; c < kAlphabetSize; ++c) profile[c][k] = params.subst[c][b[k]];
-    }
-    pre_d.resize(n);
-    pre_diag.resize(n);
-    pre_opened.resize(n);
-  }
-
   for (std::size_t i = 1; i <= m; ++i) {
-    if (precompute != nullptr) {
-      precompute(&s[idx(i - 1, 1)], &s[idx(i - 1, 0)], &gd[idx(i - 1, 1)],
-                 profile[a[i - 1]].data(), open_extend, params.gap_extend, n,
-                 pre_d.data(), pre_diag.data(), pre_opened.data());
-    }
     for (std::size_t j = 1; j <= n; ++j) {
       // I: gap in A — arrive from the left.
       const Score i_ext = gi[idx(i, j - 1)] + params.gap_extend;
@@ -82,20 +45,11 @@ ReferenceResult reference_extend(std::span<const BaseCode> a, std::span<const Ba
       const Score i_val = i_opened ? i_open : i_ext;
 
       // D: gap in B — arrive from above; diag: substitution candidate.
-      Score d_val;
-      Score diag;
-      bool d_opened;
-      if (precompute != nullptr) {
-        d_val = pre_d[j - 1];
-        diag = pre_diag[j - 1];
-        d_opened = pre_opened[j - 1] != 0;
-      } else {
-        const Score d_ext = gd[idx(i - 1, j)] + params.gap_extend;
-        const Score d_open = s[idx(i - 1, j)] + open_extend;
-        d_opened = d_open >= d_ext;
-        d_val = d_opened ? d_open : d_ext;
-        diag = s[idx(i - 1, j - 1)] + params.substitution(a[i - 1], b[j - 1]);
-      }
+      const Score d_ext = gd[idx(i - 1, j)] + params.gap_extend;
+      const Score d_open = s[idx(i - 1, j)] + open_extend;
+      const bool d_opened = d_open >= d_ext;
+      const Score d_val = d_opened ? d_open : d_ext;
+      const Score diag = s[idx(i - 1, j - 1)] + params.substitution(a[i - 1], b[j - 1]);
 
       // S: diagonal vs the two gap states. Preference order on ties is
       // diag > I > D, matching the oracle and the FastZ kernels.

@@ -51,19 +51,8 @@ struct ReferenceResult {
   std::vector<AlignOp> ops;    // path from (0,0) to the best cell
 };
 
-struct ReferenceOptions {
-  // Vectorize the D/diagonal precompute of each row (plain non-saturating
-  // adds, matching the reference arithmetic exactly). Off by default: the
-  // reference is first and foremost the simplest-possible oracle, and the
-  // SIMD pass exists to be differentially tested against it. Bit-identical
-  // output either way.
-  bool simd = false;
-};
-
 // Reference extension of A[0..M) x B[0..N).
 ReferenceResult reference_extend(std::span<const BaseCode> a, std::span<const BaseCode> b,
                                  const ScoreParams& params);
-ReferenceResult reference_extend(std::span<const BaseCode> a, std::span<const BaseCode> b,
-                                 const ScoreParams& params, const ReferenceOptions& options);
 
 }  // namespace fastz

@@ -1,7 +1,6 @@
-// Vectorized "phase A" of a DP row sweep.
+// Vectorized "phase A" of the y-drop row sweep.
 //
-// The y-drop row body (ydrop_row_core.hpp) and the full-matrix Gotoh
-// reference share the same split: within one row, the D state and the
+// Within one row of the y-drop DP (ydrop_row_core.hpp), the D state and the
 // diagonal candidate depend only on the PREVIOUS row, so they vectorize
 // cleanly, while the S/I chain carries a serial within-row dependency (the
 // insertion chain reads the cell just written) and stays scalar. This
@@ -14,9 +13,8 @@
 //   d_val    = d_opened ? d_open : d_ext
 //   diag     = add(s_diag[k], prof[k])
 //
-// in two flavors of `add`: the y-drop core's saturating add_score (where
-// kNegativeInfinity absorbs) and the Gotoh reference's plain integer add.
-// Both are bit-identical to their scalar ancestors by construction — the
+// with the row core's saturating add_score (kNegativeInfinity absorbs).
+// Every variant is bit-identical to the scalar loop by construction — the
 // scalar phase B consumes these values verbatim.
 //
 // Internal header of src/align (fastz::detail).
@@ -30,30 +28,28 @@
 
 namespace fastz::detail {
 
+// Vector lane that `lane_skew` perturbs (see RowPrecomputeFn).
+inline constexpr std::size_t kRowSimdFaultLane = 2;
+
 // d_val / diag / d_opened are written for k in [0, count). All input and
-// output spans may be unaligned; they must not overlap.
+// output spans may be unaligned; they must not overlap. `lane_skew` is the
+// differ's SIMD mutation canary (OneSidedOptions::simd_lane_skew): it is
+// added to lane kRowSimdFaultLane of the gap-open+extend vector, so only
+// vector-processed columns see it. It is 0 in real use.
 using RowPrecomputeFn = void (*)(const Score* s_up, const Score* s_diag,
                                  const Score* gd_up, const Score* prof,
                                  Score open_extend, Score extend_only,
                                  std::size_t count, Score* d_val, Score* diag,
-                                 std::uint8_t* d_opened);
+                                 std::uint8_t* d_opened, Score lane_skew);
 
-// Scalar references (also the tail loop of every vector variant).
+// Scalar reference (also the tail loop of every vector variant).
 void row_precompute_scalar(const Score* s_up, const Score* s_diag, const Score* gd_up,
                            const Score* prof, Score open_extend, Score extend_only,
                            std::size_t count, Score* d_val, Score* diag,
                            std::uint8_t* d_opened);
-void row_precompute_plain_scalar(const Score* s_up, const Score* s_diag,
-                                 const Score* gd_up, const Score* prof,
-                                 Score open_extend, Score extend_only, std::size_t count,
-                                 Score* d_val, Score* diag, std::uint8_t* d_opened);
 
-// Saturating-add variant for `isa` (y-drop semantics), or null when the ISA
-// is scalar / not compiled into this binary — callers fall back to their
-// original scalar row body.
+// Vector variant for `isa`, or null when the ISA is scalar / not compiled
+// into this binary — callers fall back to their original scalar row body.
 RowPrecomputeFn row_precompute_fn(simd::Isa isa) noexcept;
-
-// Plain-add variant (Gotoh reference semantics); same fallback contract.
-RowPrecomputeFn row_precompute_plain_fn(simd::Isa isa) noexcept;
 
 }  // namespace fastz::detail

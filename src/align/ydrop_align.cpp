@@ -29,7 +29,7 @@ OneSidedResult ydrop_one_sided_align(SeqView a, SeqView b, const ScoreParams& pa
   if (options.record_row_bounds) result.row_bounds.reserve(128);
 
   const detail::RowContext ctx = detail::make_row_context(
-      a, b, params, n, options.prune == PruneMode::kSequential);
+      a, b, params, n, options.prune == PruneMode::kSequential, options.simd_lane_skew);
 
   // ---- Row 0: a pure insertion run from the origin. -----------------------
   ScoreRow prev;

@@ -73,6 +73,12 @@ struct OneSidedOptions {
   // by this amount at every divide-and-conquer handoff. Must stay 0 in real
   // use; the `hirschberg-split-off-by-one` injected bug sets it to 1.
   std::int32_t hirschberg_split_skew = 0;
+  // Fault injection for the differ's SIMD canary: adds this amount to one
+  // vector lane of the row precompute's gap-open+extend vector
+  // (row_precompute.hpp), so only the vectorized phase A sees it; the
+  // scalar row body ignores it. Must stay 0 in real use; the
+  // `simd-lane-gap-open` injected bug sets it to 1.
+  Score simd_lane_skew = 0;
 };
 
 // Viable interval [lo, hi) of one explored row.

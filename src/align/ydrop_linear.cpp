@@ -250,7 +250,7 @@ OneSidedResult ydrop_linear_traceback(SeqView a, SeqView b, const ScoreParams& p
   if (options.record_row_bounds) result.row_bounds.reserve(128);
 
   const RowContext ctx = detail::make_row_context(
-      a, b, params, n, options.prune == PruneMode::kSequential);
+      a, b, params, n, options.prune == PruneMode::kSequential, options.simd_lane_skew);
   const std::uint32_t block_rows = std::max(1u, options.hirschberg_block_rows);
 
   LinearTracer tracer(ctx, block_rows, options.hirschberg_split_skew);

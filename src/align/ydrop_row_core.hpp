@@ -98,17 +98,20 @@ struct RowContext {
   Score open_extend = 0;
   Score extend_only = 0;
   bool sequential = false;         // PruneMode::kSequential
+  Score simd_lane_skew = 0;        // OneSidedOptions::simd_lane_skew (test-only)
   mutable RowSimdState simd;       // scratch, not semantic state
 };
 
 inline RowContext make_row_context(SeqView a, SeqView b, const ScoreParams& params,
-                                   std::uint32_t n, bool sequential) {
+                                   std::uint32_t n, bool sequential,
+                                   Score simd_lane_skew) {
   RowContext ctx;
   ctx.a = a;
   ctx.b = b;
   ctx.params = &params;
   ctx.n = n;
   ctx.sequential = sequential;
+  ctx.simd_lane_skew = simd_lane_skew;
   // How far a viable insertion chain can run past the previous row's end:
   // each step costs |gap_extend|, and the chain dies once it is ydrop below
   // the best score.
@@ -244,7 +247,7 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
       st.fn(ps + (span_lo - prev_lo), ps + (span_lo - 1 - prev_lo),
             pd + (span_lo - prev_lo), st.profile[a_base].data() + (span_lo - 1),
             ctx.open_extend, ctx.extend_only, core_count, st.d_val.data(),
-            st.diag.data(), st.d_opened.data());
+            st.diag.data(), st.d_opened.data(), ctx.simd_lane_skew);
     }
   }
   const Score* const sim_d = ctx.simd.d_val.data();

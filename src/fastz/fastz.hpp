@@ -23,7 +23,6 @@
 #include "align/gotoh_reference.hpp"
 #include "align/lastz_pipeline.hpp"
 #include "align/output.hpp"
-#include "align/strand_search.hpp"
 #include "align/ydrop_align.hpp"
 #include "fastz/binning.hpp"
 #include "fastz/config.hpp"

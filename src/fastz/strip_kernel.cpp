@@ -4,27 +4,74 @@
 #include <stdexcept>
 #include <utility>
 
-#include "fastz/strip_kernel_detail.hpp"
 #include "gpusim/memory_ledger.hpp"
-#include "util/simd.hpp"
 
 namespace fastz {
 
 namespace {
 
-using detail::LaneFiles;
-using detail::strip_add_score;
+constexpr Score strip_add_score(Score base, Score delta) noexcept {
+  return base <= kNegativeInfinity ? kNegativeInfinity : base + delta;
+}
 
-// The scalar anti-diagonal sweep over all strips. WantTrace / Census lift
-// the per-cell traceback store and the per-step divergence census out of
-// the hot loop at compile time: the score-only instantiation carries no
-// bookkeeping branches in the lane loop at all. The vectorized siblings
-// (strip_kernel_simd_impl.hpp, dispatched below on simd::active_isa())
-// must stay bit-identical to this loop.
-template <bool WantTrace, bool Census, bool Banded = false>
+// SoA lane state. Each "register file" is one contiguous Score array per
+// live diagonal; the end-of-step rotation exchanges pointers instead of
+// copying 32-lane structs (the AoS `p2 = p1; p1 = cur` full-array copies
+// this replaced are preserved in strip_rectangle_dp_reference). The planes
+// are cache-line aligned, so each 32-lane plane spans exactly two lines.
+//
+// Depth per file follows what the data flow actually reads:
+//   S needs three diagonals (s_diag comes from t-2), I and D only two
+//   (gi_left / gd_up come from t-1; their t-2 values are dead).
+struct LaneFiles {
+  alignas(64) Score s[3][kWarpWidth];
+  alignas(64) Score gi[2][kWarpWidth];
+  alignas(64) Score gd[2][kWarpWidth];
+
+  Score* s_p2;
+  Score* s_p1;
+  Score* s_cur;
+  Score* gi_p1;
+  Score* gi_cur;
+  Score* gd_p1;
+  Score* gd_cur;
+
+  // Strip entry: every diagonal of every file holds -inf (the AoS
+  // LaneRegs{} default).
+  void reset() noexcept {
+    for (auto& diag : s) std::fill(diag, diag + kWarpWidth, kNegativeInfinity);
+    for (auto& diag : gi) std::fill(diag, diag + kWarpWidth, kNegativeInfinity);
+    for (auto& diag : gd) std::fill(diag, diag + kWarpWidth, kNegativeInfinity);
+    s_p2 = s[0];
+    s_p1 = s[1];
+    s_cur = s[2];
+    gi_p1 = gi[0];
+    gi_cur = gi[1];
+    gd_p1 = gd[0];
+    gd_cur = gd[1];
+  }
+
+  // End of step: the t-2 diagonal is dead; its storage becomes the next
+  // step's cur. Values for lanes not yet (or no longer) in the pipeline go
+  // stale in the recycled buffers, but the sweep never reads a lane's state
+  // before that lane's first write of the step that produces it.
+  void rotate() noexcept {
+    Score* const dead = s_p2;
+    s_p2 = s_p1;
+    s_p1 = s_cur;
+    s_cur = dead;
+    std::swap(gi_p1, gi_cur);
+    std::swap(gd_p1, gd_cur);
+  }
+};
+
+// The anti-diagonal sweep over all strips. WantTrace / Census lift the
+// per-cell traceback store and the per-step divergence census out of the
+// hot loop at compile time: the score-only instantiation carries no
+// bookkeeping branches in the lane loop at all.
+template <bool WantTrace, bool Census>
 void run_strips(SeqView a, SeqView b, const ScoreParams& params,
-                StripKernelResult& result, StripKernelScratch& scratch,
-                std::uint32_t band_begin = 0, std::uint32_t band_end = 0) {
+                StripKernelResult& result, StripKernelScratch& scratch) {
   const auto m = static_cast<std::uint32_t>(a.size());
   const auto n = static_cast<std::uint32_t>(b.size());
   const std::size_t stride = std::size_t{n} + 1;
@@ -153,14 +200,7 @@ void run_strips(SeqView a, SeqView b, const ScoreParams& params,
           ++active_lanes;
         }
         if constexpr (WantTrace) {
-          if constexpr (Banded) {
-            if (i >= band_begin && i < band_end) {
-              result.trace[std::size_t{i - band_begin} * stride + j] =
-                  make_trace(s_src, i_opened, d_opened);
-            }
-          } else {
-            result.trace[std::size_t{i} * stride + j] = make_trace(s_src, i_opened, d_opened);
-          }
+          result.trace[std::size_t{i} * stride + j] = make_trace(s_src, i_opened, d_opened);
         }
         if (spill && l == last_lane) {
           next_bound_s[i] = s_val;
@@ -190,27 +230,6 @@ void run_strips(SeqView a, SeqView b, const ScoreParams& params,
   }
 }
 
-// Vectorized entry point for the active ISA, or null when the sweep should
-// run the scalar loop (scalar selected, or the ISA's TU not compiled in).
-detail::StripSimdFn strip_simd_fn(simd::Isa isa) noexcept {
-  switch (isa) {
-#ifdef FASTZ_SIMD_HAS_SSE2
-    case simd::Isa::kSse2:
-      return &detail::run_strips_sse2;
-#endif
-#ifdef FASTZ_SIMD_HAS_AVX2
-    case simd::Isa::kAvx2:
-      return &detail::run_strips_avx2;
-#endif
-#ifdef FASTZ_SIMD_HAS_NEON
-    case simd::Isa::kNeon:
-      return &detail::run_strips_neon;
-#endif
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace
 
 StripKernelResult strip_rectangle_dp(SeqView a, SeqView b, const ScoreParams& params,
@@ -219,62 +238,26 @@ StripKernelResult strip_rectangle_dp(SeqView a, SeqView b, const ScoreParams& pa
   params.validate();
   const auto m = static_cast<std::uint32_t>(a.size());
   const auto n = static_cast<std::uint32_t>(b.size());
-  const bool banded = opts.want_traceback && opts.trace_row_end > opts.trace_row_begin;
-  if (opts.want_traceback && !banded &&
-      (m > kStripKernelMaxDim || n > kStripKernelMaxDim)) {
+  if (opts.want_traceback && (m > kStripKernelMaxDim || n > kStripKernelMaxDim)) {
     throw std::invalid_argument("strip_rectangle_dp: rectangle too large for dense traceback");
-  }
-  if (banded && (n > kStripKernelMaxDim ||
-                 opts.trace_row_end - opts.trace_row_begin > kStripKernelMaxDim)) {
-    throw std::invalid_argument("strip_rectangle_dp: trace band too large for dense traceback");
   }
 
   StripKernelResult result;
   result.best = BestCell{0, 0, 0};
   const std::size_t stride = std::size_t{n} + 1;
-  const std::uint32_t band_begin = banded ? opts.trace_row_begin : 0;
-  const std::uint32_t band_end = banded ? opts.trace_row_end : m + 1;
   if (opts.want_traceback) {
-    result.trace.assign(std::size_t{band_end - band_begin} * stride,
-                        make_trace(kTraceSrcOrigin, false, false));
-    // Border codes of the traced rows: row 0 is an insertion chain, column 0
-    // a deletion chain.
-    for (std::uint32_t i = band_begin; i < band_end; ++i) {
-      const std::size_t base = std::size_t{i - band_begin} * stride;
-      if (i == 0) {
-        for (std::uint32_t j = 1; j <= n; ++j) {
-          result.trace[base + j] = make_trace(kTraceSrcI, j == 1, false);
-        }
-      } else if (i <= m) {
-        result.trace[base] = make_trace(kTraceSrcD, false, i == 1);
-      }
+    result.trace.assign(std::size_t{m + 1} * stride, make_trace(kTraceSrcOrigin, false, false));
+    // Border codes: row 0 is an insertion chain, column 0 a deletion chain.
+    for (std::uint32_t j = 1; j <= n; ++j) {
+      result.trace[j] = make_trace(kTraceSrcI, j == 1, false);
+    }
+    for (std::uint32_t i = 1; i <= m; ++i) {
+      result.trace[std::size_t{i} * stride] = make_trace(kTraceSrcD, false, i == 1);
     }
   }
   if (m == 0 || n == 0) return result;
 
-  if (detail::StripSimdFn simd_fn = strip_simd_fn(simd::active_isa());
-      simd_fn != nullptr) {
-    detail::StripSimdArgs args;
-    args.a = a;
-    args.b = b;
-    args.params = &params;
-    args.result = &result;
-    args.scratch = &scratch;
-    args.want_trace = opts.want_traceback;
-    args.census = opts.divergence_census;
-    args.banded = banded;
-    args.band_begin = band_begin;
-    args.band_end = band_end;
-    args.fault_lane = opts.simd_fault_lane;
-    args.fault_delta = opts.simd_fault_delta;
-    simd_fn(args);
-  } else if (banded) {
-    if (opts.divergence_census) {
-      run_strips<true, true, true>(a, b, params, result, scratch, band_begin, band_end);
-    } else {
-      run_strips<true, false, true>(a, b, params, result, scratch, band_begin, band_end);
-    }
-  } else if (opts.want_traceback) {
+  if (opts.want_traceback) {
     if (opts.divergence_census) {
       run_strips<true, true>(a, b, params, result, scratch);
     } else {
@@ -288,7 +271,7 @@ StripKernelResult strip_rectangle_dp(SeqView a, SeqView b, const ScoreParams& pa
     }
   }
 
-  if (opts.want_traceback && !banded) {
+  if (opts.want_traceback) {
     result.ops = walk_traceback(result.best.i, result.best.j,
                                 [&](std::uint32_t i, std::uint32_t j) {
                                   return result.trace[std::size_t{i} * stride + j];

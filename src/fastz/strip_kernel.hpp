@@ -66,7 +66,7 @@ struct StripKernelResult {
 // the switches only control which instrumentation the hot loop carries:
 //
 //   want_traceback    — allocate the dense trace buffer, emit packed codes,
-//                       and walk `ops` (the executor / eager-tile path).
+//                       and walk `ops` (the inspector's eager tile).
 //   divergence_census — populate divergence_histogram. Pure profiling
 //                       output; the functional pipeline never consumes it,
 //                       so hot callers (the inspector's eager tile) turn it
@@ -75,45 +75,24 @@ struct StripKernelResult {
 struct StripKernelOptions {
   bool want_traceback = false;
   bool divergence_census = true;
-  // Test-only fault injection for the simd-vs-scalar differential canary:
-  // when simd_fault_lane >= 0, the vectorized sweeps perturb that lane
-  // (mod vector width) of the gap-open+extend vector by simd_fault_delta.
-  // The scalar path ignores it, so any nonzero delta MUST surface as a
-  // divergence — proof the differ catches lane-local SIMD bugs.
-  int simd_fault_lane = -1;
-  Score simd_fault_delta = 0;
-  // Row band [trace_row_begin, trace_row_end) to emit traceback codes for;
-  // equal values (the default) mean the full rectangle. A banded run is the
-  // device shape of the Hirschberg executor's base block: the kernel sweeps
-  // every row (scores are exact), but only the banded rows' codes reach the
-  // trace buffer, so the allocation is band_rows x (n + 1) instead of
-  // (m + 1) x (n + 1). Banded runs do not walk `ops` — the rectangle's path
-  // can leave the band, and the divide-and-conquer walker owns the stitch.
-  std::uint32_t trace_row_begin = 0;
-  std::uint32_t trace_row_end = 0;
 };
 
 // Reusable per-thread working memory of strip_rectangle_dp: the boundary
-// column spilled between strips (double-buffered) and the SIMD sweeps'
-// reversed query copy. Grows to the largest rectangle seen and is then
-// reused allocation-free — the per-seed steady state performs zero heap
-// allocations on the score-only path (asserted by a counting allocator in
-// tests/fastz/strip_alloc_test.cpp). Callers that don't pass one share a
-// thread-local instance.
+// column spilled between strips (double-buffered). Grows to the largest
+// rectangle seen and is then reused allocation-free — the per-seed steady
+// state performs zero heap allocations on the score-only path (asserted by
+// a counting allocator in tests/fastz/strip_alloc_test.cpp). Callers that
+// don't pass one share a thread-local instance.
 struct StripKernelScratch {
   std::vector<Score> bound_s;
   std::vector<Score> bound_gi;
   std::vector<Score> next_bound_s;
   std::vector<Score> next_bound_gi;
-  std::vector<BaseCode> a_rev;
 };
 
 // Computes the full (m+1) x (n+1) rectangle for A[0..m) x B[0..n).
 // `want_traceback` allocates the dense trace buffer, so m and n are capped
 // (throws std::invalid_argument beyond `kStripKernelMaxDim` with traceback).
-// With a row band set, only the band height and n are capped — m may exceed
-// kStripKernelMaxDim, which is the point: long-tail tiles trace in O(n+m)
-// per block. Banded trace is indexed (i - trace_row_begin) * (n+1) + j.
 StripKernelResult strip_rectangle_dp(SeqView a, SeqView b, const ScoreParams& params,
                                      const StripKernelOptions& opts);
 
@@ -129,7 +108,7 @@ StripKernelResult strip_rectangle_dp(SeqView a, SeqView b, const ScoreParams& pa
 
 // Original AoS formulation (struct-of-32-lanes registers, full-array
 // rotation copies, unconditional instrumentation). Differential oracle for
-// the SoA fast path and the baseline side of bench_functional_pass; not for
+// the SoA kernel and the baseline side of bench_functional_pass; not for
 // production callers.
 StripKernelResult strip_rectangle_dp_reference(SeqView a, SeqView b,
                                                const ScoreParams& params,

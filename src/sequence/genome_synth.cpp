@@ -67,7 +67,6 @@ struct PlannedSegment {
   std::uint64_t a_len = 0;
   double identity = 0.0;
   double indel_rate = -1.0;  // negative = model channel default
-  bool inverted = false;
 };
 
 // Samples non-overlapping segment placements on chromosome A, sorted by
@@ -94,7 +93,7 @@ std::vector<PlannedSegment> plan_segments(const PairModel& model, Xoshiro256& rn
               return begin < s.a_begin + s.a_len && s.a_begin < begin + len;
             });
         if (!overlaps) {
-          planned.push_back({begin, len, cls.identity, cls.indel_rate, cls.inverted});
+          planned.push_back({begin, len, cls.identity, cls.indel_rate});
           placed = true;
         }
       }
@@ -151,7 +150,7 @@ SyntheticPair longtail_pair(const LongTailPreset& preset, std::uint64_t seed) {
   auto mutated = mutate_segment(core, preset.identity, preset.channel, rng);
   b.insert(b.end(), mutated.begin(), mutated.end());
   pair.segments.push_back({preset.flank, preset.segment_len, b_begin,
-                           b.size() - b_begin, preset.identity, false});
+                           b.size() - b_begin, preset.identity});
   for (std::uint64_t k = 0; k < preset.flank; ++k) {
     b.push_back(static_cast<BaseCode>(rng.below(4)));
   }
@@ -189,20 +188,11 @@ SyntheticPair generate_pair(const PairModel& model, std::uint64_t seed,
     const std::uint64_t b_begin = b.size();
     MutationChannel channel = model.channel;
     if (seg.indel_rate >= 0.0) channel.indel_rate = seg.indel_rate;
-    std::vector<BaseCode> source;
-    const auto window = pair.a.codes(seg.a_begin, seg.a_len);
-    if (seg.inverted) {
-      source.reserve(window.size());
-      for (auto it = window.rbegin(); it != window.rend(); ++it) {
-        source.push_back(complement(*it));
-      }
-    } else {
-      source.assign(window.begin(), window.end());
-    }
-    auto mutated = mutate_segment(source, seg.identity, channel, rng);
+    auto mutated =
+        mutate_segment(pair.a.codes(seg.a_begin, seg.a_len), seg.identity, channel, rng);
     b.insert(b.end(), mutated.begin(), mutated.end());
     pair.segments.push_back({seg.a_begin, seg.a_len, b_begin,
-                             b.size() - b_begin, seg.identity, seg.inverted});
+                             b.size() - b_begin, seg.identity});
     cursor = seg.a_begin + seg.a_len;
   }
   if (cursor < model.length_a) emit_background(model.length_a - cursor);

@@ -45,10 +45,6 @@ struct SegmentClass {
   // Marginal homology classes use a denser rate so ungapped x-drop runs
   // terminate before reaching the HSP threshold (the Figure 2 mechanism).
   double indel_rate = -1.0;
-  // Inverted segments: B receives the reverse complement of A's segment
-  // (a chromosomal inversion). Only a both-strand search finds these
-  // (align/strand_search.hpp).
-  bool inverted = false;
 };
 
 // Mutation channel applied when copying a homology segment from A into B.
@@ -80,7 +76,6 @@ struct SegmentRecord {
   std::uint64_t b_begin = 0;
   std::uint64_t b_len = 0;
   double identity = 0.0;
-  bool inverted = false;  // B holds the reverse complement of A's segment
 };
 
 struct SyntheticPair {

@@ -144,91 +144,56 @@ void diff_one_sided_exact(DiffResult& out, const FuzzCase& c, InjectedBug bug) {
 }
 
 // ---- SIMD-vs-scalar: every vector ISA available on this host must
-// reproduce the forced-scalar DP field-for-field — best cell, cell/step
-// counts, spill bytes, divergence census, the dense trace buffer, and the
-// walked ops — across all three vectorized hot paths (strip kernel, y-drop
-// row sweep, flagged Gotoh pass). kSimdLaneGapOpen perturbs one vector lane
-// of the strip kernel's gap-open constant; the field comparison MUST catch
-// it whenever a vector ISA runs.
+// reproduce the forced-scalar y-drop sweep (the row core whose phase A is
+// the repository's one vectorized DP path) field-for-field — best cell,
+// cell count, and the walked ops. Two walks per sweep: from the best cell,
+// and from the far corner (m, n), which the unbounded y-drop of these kinds
+// always explores; the corner walk crosses the whole rectangle, so it reads
+// far more of the trace codes phase A feeds. kSimdLaneGapOpen perturbs one
+// vector lane of the row precompute's gap-open constant; the comparison
+// MUST catch it whenever a vector ISA runs.
 void diff_simd_vs_scalar(DiffResult& out, const FuzzCase& c, InjectedBug bug) {
-  if (c.a.size() > kStripKernelMaxDim || c.b.size() > kStripKernelMaxDim) return;
+  OneSidedOptions corner;
+  corner.trace_from_fixed = true;
+  corner.trace_i = static_cast<std::uint32_t>(c.a.size());
+  corner.trace_j = static_cast<std::uint32_t>(c.b.size());
 
-  const SeqView av(c.a.codes().data(), 1, c.a.size());
-  const SeqView bv(c.b.codes().data(), 1, c.b.size());
-  StripKernelOptions opts;
-  opts.want_traceback = true;
-  opts.divergence_census = true;
-
-  StripKernelResult strip_scalar;
-  OneSidedResult ydrop_scalar;
-  ReferenceResult gotoh_scalar;
+  OneSidedResult scalar;
+  OneSidedResult scalar_corner;
   {
     simd::ScopedIsa force(simd::Isa::kScalar);
-    strip_scalar = strip_rectangle_dp(av, bv, c.params, opts);
-    ydrop_scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
-    gotoh_scalar = reference_extend(c.a.codes(), c.b.codes(), c.params,
-                                    ReferenceOptions{/*simd=*/true});
+    scalar = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
+    scalar_corner = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, corner);
   }
 
+  OneSidedOptions opts;
+  if (bug == InjectedBug::kSimdLaneGapOpen) {
+    opts.simd_lane_skew = 1;
+    corner.simd_lane_skew = 1;
+  }
   for (const simd::Isa isa : simd::available_isas()) {
     if (isa == simd::Isa::kScalar) continue;
     simd::ScopedIsa force(isa);
     const std::string who = std::string("[") + simd::isa_name(isa) + "] ";
 
-    StripKernelOptions vopts = opts;
-    if (bug == InjectedBug::kSimdLaneGapOpen) {
-      vopts.simd_fault_lane = 2;
-      vopts.simd_fault_delta = 1;
-    }
-    const StripKernelResult strip = strip_rectangle_dp(av, bv, c.params, vopts);
-    out.expect(strip.best.score == strip_scalar.best.score &&
-                   strip.best.i == strip_scalar.best.i &&
-                   strip.best.j == strip_scalar.best.j,
-               tag(c, who + "strip kernel best " + cell_str(strip.best) +
-                          " != scalar " + cell_str(strip_scalar.best)));
-    out.expect(strip.cells == strip_scalar.cells &&
-                   strip.warp_steps == strip_scalar.warp_steps &&
-                   strip.strips == strip_scalar.strips,
-               tag(c, who + "strip kernel census (cells " + std::to_string(strip.cells) +
-                          ", steps " + std::to_string(strip.warp_steps) +
-                          ") != scalar (" + std::to_string(strip_scalar.cells) + ", " +
-                          std::to_string(strip_scalar.warp_steps) + ")"));
-    out.expect(strip.boundary_spill_bytes == strip_scalar.boundary_spill_bytes,
-               tag(c, who + "strip kernel spilled " +
-                          std::to_string(strip.boundary_spill_bytes) +
-                          " boundary bytes != scalar " +
-                          std::to_string(strip_scalar.boundary_spill_bytes)));
-    out.expect(strip.divergence_histogram == strip_scalar.divergence_histogram,
-               tag(c, who + "strip kernel divergence histogram != scalar"));
-    out.expect(strip.trace == strip_scalar.trace,
-               tag(c, who + "strip kernel trace buffer != scalar"));
-    out.expect(strip.ops == strip_scalar.ops,
-               tag(c, who + "strip kernel cigar " + cigar_of(strip.ops) +
-                          " != scalar " + cigar_of(strip_scalar.ops)));
-
     const OneSidedResult ydrop =
-        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params);
-    out.expect(ydrop.best.score == ydrop_scalar.best.score &&
-                   ydrop.best.i == ydrop_scalar.best.i &&
-                   ydrop.best.j == ydrop_scalar.best.j,
+        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, opts);
+    out.expect(ydrop.best.score == scalar.best.score && ydrop.best.i == scalar.best.i &&
+                   ydrop.best.j == scalar.best.j,
                tag(c, who + "y-drop best " + cell_str(ydrop.best) + " != scalar " +
-                          cell_str(ydrop_scalar.best)));
-    out.expect(ydrop.cells == ydrop_scalar.cells,
+                          cell_str(scalar.best)));
+    out.expect(ydrop.cells == scalar.cells,
                tag(c, who + "y-drop explored " + std::to_string(ydrop.cells) +
-                          " cells != scalar " + std::to_string(ydrop_scalar.cells)));
-    out.expect(ydrop.ops == ydrop_scalar.ops,
+                          " cells != scalar " + std::to_string(scalar.cells)));
+    out.expect(ydrop.ops == scalar.ops,
                tag(c, who + "y-drop cigar " + cigar_of(ydrop.ops) + " != scalar " +
-                          cigar_of(ydrop_scalar.ops)));
+                          cigar_of(scalar.ops)));
 
-    const ReferenceResult gotoh = reference_extend(
-        c.a.codes(), c.b.codes(), c.params, ReferenceOptions{/*simd=*/true});
-    out.expect(gotoh.best.score == gotoh_scalar.best.score &&
-                   gotoh.best.i == gotoh_scalar.best.i &&
-                   gotoh.best.j == gotoh_scalar.best.j,
-               tag(c, who + "gotoh reference best " + cell_str(gotoh.best) +
-                          " != scalar " + cell_str(gotoh_scalar.best)));
-    out.expect(gotoh.ops == gotoh_scalar.ops && gotoh.cells == gotoh_scalar.cells,
-               tag(c, who + "gotoh reference trace/cells != scalar"));
+    const OneSidedResult from_corner =
+        ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, corner);
+    out.expect(from_corner.ops == scalar_corner.ops,
+               tag(c, who + "y-drop corner walk " + cigar_of(from_corner.ops) +
+                          " != scalar " + cigar_of(scalar_corner.ops)));
   }
 }
 

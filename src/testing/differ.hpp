@@ -44,12 +44,12 @@ enum class InjectedBug : std::uint8_t {
   // — the canonical split-stitching defect the linear-space differ checks
   // must catch.
   kHirschbergSplit,
-  // One vector lane of the strip kernel's gap-open+extend constant is off
-  // by one (StripKernelOptions::simd_fault_lane) — a lane-local SIMD defect
-  // invisible to whole-result plausibility checks. The simd-vs-scalar sweep
-  // MUST catch it on any host with a vector ISA; scalar-only hosts cannot
-  // express it (the scalar path ignores the fault), so the canary test is
-  // registered only on SSE2/NEON builds.
+  // One vector lane of the y-drop row precompute's gap-open+extend constant
+  // is off by one (OneSidedOptions::simd_lane_skew = 1) — a lane-local SIMD
+  // defect invisible to whole-result plausibility checks. The
+  // simd-vs-scalar sweep MUST catch it on any host with a vector ISA;
+  // scalar-only hosts cannot express it (the scalar path ignores the
+  // fault), so the canary test is registered only on SSE2/NEON builds.
   kSimdLaneGapOpen,
 };
 

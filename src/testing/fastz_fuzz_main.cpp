@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   cli.add_flag("inject-bug",
                "deliberately break one implementation "
                "(none|gap-extend|drop-op|score-off-by-one|"
-               "hirschberg-split-off-by-one)",
+               "hirschberg-split-off-by-one|simd-lane-gap-open)",
                "none");
   cli.add_flag("expect-divergence",
                "exit 0 only if a divergence IS found (harness self-test)", "0");

@@ -65,13 +65,18 @@ bool compiled_in(Isa isa) noexcept {
   return false;
 }
 
+// The one degrade rule for a requested ISA (FASTZ_SIMD and ScopedIsa
+// alike): run it if this binary and CPU can, else run scalar.
+Isa runnable(Isa requested) noexcept {
+  return isa_available(requested) ? requested : Isa::kScalar;
+}
+
 // FASTZ_SIMD, parsed once per process (first use).
 Isa env_isa() {
   static const Isa parsed = [] {
     const char* env = std::getenv("FASTZ_SIMD");
     if (env == nullptr || *env == '\0') return detected_isa();
-    const Isa requested = parse_isa(env);  // throws on garbage
-    return isa_available(requested) ? requested : Isa::kScalar;
+    return runnable(parse_isa(env));  // parse_isa throws on garbage
   }();
   return parsed;
 }
@@ -158,7 +163,8 @@ std::string isa_report() {
 }
 
 ScopedIsa::ScopedIsa(Isa isa)
-    : previous_(g_override.exchange(static_cast<int>(isa), std::memory_order_relaxed)) {}
+    : previous_(g_override.exchange(static_cast<int>(runnable(isa)),
+                                    std::memory_order_relaxed)) {}
 
 ScopedIsa::~ScopedIsa() { g_override.store(previous_, std::memory_order_relaxed); }
 

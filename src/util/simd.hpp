@@ -1,11 +1,12 @@
-// Portable-SIMD ISA selection for the DP hot paths.
+// Portable-SIMD ISA selection for the y-drop row core.
 //
-// The vectorized kernels (strip kernel, y-drop row sweep, flagged Gotoh
-// pass) are compiled once per instruction set into their own translation
-// units (SSE2 / AVX2 / NEON, see src/fastz and src/align CMakeLists) and
-// picked at runtime: the widest ISA both compiled in and supported by the
-// host CPU wins, unless `FASTZ_SIMD` or a `ScopedIsa` override narrows the
-// choice. Every variant is bit-identical to the scalar ancestor — selection
+// The repository's one vectorized DP path is the row core's phase-A
+// precompute (align/row_precompute.hpp), which the inspector, the executor
+// and Hirschberg all run. It is compiled once per instruction set into its
+// own translation unit (SSE2 / AVX2 / NEON, see src/align/CMakeLists.txt)
+// and picked at runtime: the widest ISA both compiled in and supported by
+// the host CPU wins, unless `FASTZ_SIMD` or a `ScopedIsa` override narrows
+// the choice. Every variant is bit-identical to the scalar loop — selection
 // is purely a throughput knob, which is why it is safe to decide per
 // process instead of per call site.
 //
@@ -15,9 +16,10 @@
 //   FASTZ_SIMD=avx2     force the 256-bit x86 path
 //   FASTZ_SIMD=neon     force the 128-bit ARM path
 //
-// Requesting an ISA the build or the CPU lacks silently degrades to
-// scalar (deterministic and honest: reports always record what actually
-// ran); an unparseable value throws, mirroring FASTZ_THREADS.
+// Requesting an ISA the build or the CPU lacks, through FASTZ_SIMD or
+// ScopedIsa, silently degrades to scalar (deterministic and honest:
+// active_isa() and the reports always record what actually ran); an
+// unparseable FASTZ_SIMD value throws, mirroring FASTZ_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +53,7 @@ Isa detected_isa() noexcept;
 Isa active_isa();
 
 // Every available ISA, scalar first — what the simd-vs-scalar differential
-// sweeps iterate over.
+// sweep iterates over.
 std::vector<Isa> available_isas();
 
 // One-line human-readable report, e.g.
@@ -60,7 +62,7 @@ std::string isa_report();
 
 // RAII process-wide ISA override for tests and interleaved A/B benches.
 // Nestable; restores the previous override on destruction. The override
-// outranks FASTZ_SIMD.
+// outranks FASTZ_SIMD, and an ISA this host cannot run becomes kScalar.
 class ScopedIsa {
  public:
   explicit ScopedIsa(Isa isa);

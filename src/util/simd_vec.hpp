@@ -1,19 +1,17 @@
-// Minimal i32 vector wrappers behind the portable-SIMD kernels.
+// Minimal i32 vector wrappers behind the row precompute
+// (align/row_precompute_impl.hpp).
 //
-// Each struct wraps one native register width with the dozen operations the
-// DP recurrences need (add / max / compares / blend / movemask / byte
-// widening). The wrappers are defined only when the including translation
+// Each struct wraps one native register width with the few operations the
+// D/diagonal recurrences need (load / store / broadcast / add / compares /
+// blend). The wrappers are defined only when the including translation
 // unit is compiled for the matching ISA (`__SSE2__` / `__AVX2__` /
-// `__ARM_NEON`): the per-ISA kernel TUs get their flags from CMake
-// (e.g. `-mavx2` on strip_kernel_avx2.cpp), so a template kernel
-// instantiated on VecAvx2 never leaks AVX2 instructions into baseline code.
+// `__ARM_NEON`): the per-ISA TUs get their flags from CMake (e.g. `-mavx2`
+// on row_precompute_avx2.cpp), so a template kernel instantiated on
+// VecAvx2 never leaks AVX2 instructions into baseline code.
 //
 // Masks are ordinary vectors holding all-ones (-1) or all-zeros per lane,
 // the native compare result representation on every target.
 #pragma once
-
-#include <cstdint>
-#include <cstring>
 
 #include "score/score_params.hpp"
 
@@ -42,49 +40,19 @@ struct VecSse2 {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
   }
   static VecSse2 broadcast(Score x) noexcept { return {_mm_set1_epi32(x)}; }
-  // Widens 4 sequence codes (bytes) to i32 lanes.
-  static VecSse2 load_u8(const std::uint8_t* p) noexcept {
-    std::uint32_t bits;
-    std::memcpy(&bits, p, sizeof(bits));
-    const __m128i bytes = _mm_cvtsi32_si128(static_cast<int>(bits));
-    const __m128i zero = _mm_setzero_si128();
-    return {_mm_unpacklo_epi16(_mm_unpacklo_epi8(bytes, zero), zero)};
-  }
 
   friend VecSse2 operator+(VecSse2 a, VecSse2 b) noexcept {
     return {_mm_add_epi32(a.v, b.v)};
   }
-  friend VecSse2 operator&(VecSse2 a, VecSse2 b) noexcept {
-    return {_mm_and_si128(a.v, b.v)};
-  }
-  friend VecSse2 operator|(VecSse2 a, VecSse2 b) noexcept {
-    return {_mm_or_si128(a.v, b.v)};
-  }
-  static VecSse2 max(VecSse2 a, VecSse2 b) noexcept {
-    // SSE2 lacks pmaxsd; synthesize from the compare we need anyway.
-    const __m128i m = _mm_cmpgt_epi32(a.v, b.v);
-    return {_mm_or_si128(_mm_and_si128(m, a.v), _mm_andnot_si128(m, b.v))};
-  }
   static VecSse2 cmpgt(VecSse2 a, VecSse2 b) noexcept {
     return {_mm_cmpgt_epi32(a.v, b.v)};
-  }
-  static VecSse2 cmpeq(VecSse2 a, VecSse2 b) noexcept {
-    return {_mm_cmpeq_epi32(a.v, b.v)};
   }
   static VecSse2 cmpge(VecSse2 a, VecSse2 b) noexcept {
     return {_mm_or_si128(_mm_cmpgt_epi32(a.v, b.v), _mm_cmpeq_epi32(a.v, b.v))};
   }
-  // x & ~mask.
-  static VecSse2 andnot(VecSse2 mask, VecSse2 x) noexcept {
-    return {_mm_andnot_si128(mask.v, x.v)};
-  }
   // mask ? a : b, lane-wise (mask lanes all-ones / all-zeros).
   static VecSse2 blend(VecSse2 mask, VecSse2 a, VecSse2 b) noexcept {
     return {_mm_or_si128(_mm_and_si128(mask.v, a.v), _mm_andnot_si128(mask.v, b.v))};
-  }
-  // One bit per lane (lane 0 = bit 0).
-  static int movemask(VecSse2 mask) noexcept {
-    return _mm_movemask_ps(_mm_castsi128_ps(mask.v));
   }
 };
 
@@ -103,42 +71,19 @@ struct VecAvx2 {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
   static VecAvx2 broadcast(Score x) noexcept { return {_mm256_set1_epi32(x)}; }
-  static VecAvx2 load_u8(const std::uint8_t* p) noexcept {
-    return {_mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)))};
-  }
 
   friend VecAvx2 operator+(VecAvx2 a, VecAvx2 b) noexcept {
     return {_mm256_add_epi32(a.v, b.v)};
   }
-  friend VecAvx2 operator&(VecAvx2 a, VecAvx2 b) noexcept {
-    return {_mm256_and_si256(a.v, b.v)};
-  }
-  friend VecAvx2 operator|(VecAvx2 a, VecAvx2 b) noexcept {
-    return {_mm256_or_si256(a.v, b.v)};
-  }
-  static VecAvx2 max(VecAvx2 a, VecAvx2 b) noexcept {
-    return {_mm256_max_epi32(a.v, b.v)};
-  }
   static VecAvx2 cmpgt(VecAvx2 a, VecAvx2 b) noexcept {
     return {_mm256_cmpgt_epi32(a.v, b.v)};
-  }
-  static VecAvx2 cmpeq(VecAvx2 a, VecAvx2 b) noexcept {
-    return {_mm256_cmpeq_epi32(a.v, b.v)};
   }
   static VecAvx2 cmpge(VecAvx2 a, VecAvx2 b) noexcept {
     return {_mm256_or_si256(_mm256_cmpgt_epi32(a.v, b.v),
                             _mm256_cmpeq_epi32(a.v, b.v))};
   }
-  // x & ~mask.
-  static VecAvx2 andnot(VecAvx2 mask, VecAvx2 x) noexcept {
-    return {_mm256_andnot_si256(mask.v, x.v)};
-  }
   static VecAvx2 blend(VecAvx2 mask, VecAvx2 a, VecAvx2 b) noexcept {
     return {_mm256_blendv_epi8(b.v, a.v, mask.v)};
-  }
-  static int movemask(VecAvx2 mask) noexcept {
-    return _mm256_movemask_ps(_mm256_castsi256_ps(mask.v));
   }
 };
 
@@ -153,59 +98,26 @@ struct VecNeon {
   static VecNeon load(const Score* p) noexcept { return {vld1q_s32(p)}; }
   void store(Score* p) const noexcept { vst1q_s32(p, v); }
   static VecNeon broadcast(Score x) noexcept { return {vdupq_n_s32(x)}; }
-  static VecNeon load_u8(const std::uint8_t* p) noexcept {
-    std::uint32_t bits;
-    std::memcpy(&bits, p, sizeof(bits));
-    const uint8x8_t bytes = vreinterpret_u8_u32(vdup_n_u32(bits));
-    const uint16x4_t half = vget_low_u16(vmovl_u8(bytes));
-    return {vreinterpretq_s32_u32(vmovl_u16(half))};
-  }
 
   friend VecNeon operator+(VecNeon a, VecNeon b) noexcept {
     return {vaddq_s32(a.v, b.v)};
   }
-  friend VecNeon operator&(VecNeon a, VecNeon b) noexcept {
-    return {vandq_s32(a.v, b.v)};
-  }
-  friend VecNeon operator|(VecNeon a, VecNeon b) noexcept {
-    return {vorrq_s32(a.v, b.v)};
-  }
-  static VecNeon max(VecNeon a, VecNeon b) noexcept { return {vmaxq_s32(a.v, b.v)}; }
   static VecNeon cmpgt(VecNeon a, VecNeon b) noexcept {
     return {vreinterpretq_s32_u32(vcgtq_s32(a.v, b.v))};
-  }
-  static VecNeon cmpeq(VecNeon a, VecNeon b) noexcept {
-    return {vreinterpretq_s32_u32(vceqq_s32(a.v, b.v))};
   }
   static VecNeon cmpge(VecNeon a, VecNeon b) noexcept {
     return {vreinterpretq_s32_u32(vcgeq_s32(a.v, b.v))};
   }
-  // x & ~mask.
-  static VecNeon andnot(VecNeon mask, VecNeon x) noexcept {
-    return {vbicq_s32(x.v, mask.v)};
-  }
   static VecNeon blend(VecNeon mask, VecNeon a, VecNeon b) noexcept {
     return {vbslq_s32(vreinterpretq_u32_s32(mask.v), a.v, b.v)};
-  }
-  static int movemask(VecNeon mask) noexcept {
-    const uint32x4_t bits = vshrq_n_u32(vreinterpretq_u32_s32(mask.v), 31);
-    const uint32x4_t weights = {1u, 2u, 4u, 8u};
-#if defined(__aarch64__)
-    return static_cast<int>(vaddvq_u32(vmulq_u32(bits, weights)));
-#else
-    const uint32x4_t weighted = vmulq_u32(bits, weights);
-    const uint32x2_t sum =
-        vadd_u32(vget_low_u32(weighted), vget_high_u32(weighted));
-    return static_cast<int>(vget_lane_u32(vpadd_u32(sum, sum), 0));
-#endif
   }
 };
 
 #endif  // __ARM_NEON
 
 // Saturating score add with kNegativeInfinity absorbing — the vector form
-// of the scalar `add_score(base, delta)` both DP cores use. `neg_inf` is
-// the pre-broadcast kNegativeInfinity vector.
+// of the y-drop row core's scalar `add_score(base, delta)`. `neg_inf` is the
+// pre-broadcast kNegativeInfinity vector.
 template <class V>
 inline V add_score_vec(V base, V delta, V neg_inf) noexcept {
   return V::blend(V::cmpgt(base, neg_inf), base + delta, neg_inf);

@@ -1,9 +1,10 @@
 // SIMD-vs-scalar equivalence across the fuzz corpus.
 //
-// Every vectorized DP path (strip kernel, y-drop row sweep, flagged Gotoh
-// reference pass) must be bit-identical to its scalar ancestor. The differ
-// (src/testing/differ.cpp, diff_simd_vs_scalar) pins field-for-field
-// equality on the one-sided kinds; this suite widens the net:
+// The vectorized y-drop row sweep (the row core's phase-A precompute, the
+// repository's one vectorized DP path) must be bit-identical to its scalar
+// loop. The differ (src/testing/differ.cpp, diff_simd_vs_scalar) pins
+// field-for-field equality on the one-sided kinds; this suite widens the
+// net:
 //
 //   * every corpus kind runs its full differential check under every ISA
 //     available on the host — the pipeline/service/long-tail invariants
@@ -17,8 +18,8 @@
 #include <vector>
 
 #include "align/alignment.hpp"
+#include "align/ydrop_align.hpp"
 #include "fastz/fastz_pipeline.hpp"
-#include "fastz/strip_kernel.hpp"
 #include "testing/corpus.hpp"
 #include "testing/differ.hpp"
 #include "util/simd.hpp"
@@ -89,41 +90,50 @@ TEST(SimdDifferential, PipelineAlignmentsIsaInvariant) {
   }
 }
 
-// The canary mechanism: perturbing one vector lane's gap-open constant must
-// change the vectorized kernel's output. If this ever passes silently, the
-// fault plumbing is dead and fuzz_simd_canary is testing nothing.
+// The canary mechanism: perturbing one vector lane of the row precompute's
+// gap-open constant must change the vectorized sweep's output under every
+// vector ISA. If this ever passes silently, the fault plumbing is dead and
+// fuzz_simd_canary is testing nothing. An off-by-one in one lane of the D
+// precompute surfaces only where a walked path leans on that lane's D
+// state, so the fixture is a case known to expose it (related kind, seed 23).
 TEST(SimdDifferential, LaneFaultDivergesOnVectorIsa) {
   if (simd::available_isas().size() <= 1) {
     GTEST_SKIP() << "no vector ISA available on this host";
   }
-  const FuzzCase c = make_case_of_kind(/*seed=*/99, CaseKind::kOneSidedRelated);
+  const FuzzCase c = make_case_of_kind(/*seed=*/23, CaseKind::kOneSidedRelated);
   const DiffResult clean = diff_case(c);
   EXPECT_TRUE(clean.ok()) << (clean.diffs.empty() ? std::string()
                                                   : clean.diffs.front());
   const DiffResult faulty = diff_case(c, testing::InjectedBug::kSimdLaneGapOpen);
-  EXPECT_FALSE(faulty.ok())
-      << "one-lane gap-open fault was not detected by the simd-vs-scalar sweep";
+  for (const simd::Isa isa : simd::available_isas()) {
+    if (isa == simd::Isa::kScalar) continue;
+    const std::string who = std::string("[") + simd::isa_name(isa) + "]";
+    bool caught = false;
+    for (const std::string& d : faulty.diffs) {
+      caught = caught || d.find(who) != std::string::npos;
+    }
+    EXPECT_TRUE(caught) << "one-lane gap-open fault was not detected under "
+                        << simd::isa_name(isa);
+  }
 }
 
-// Direct fault check at the kernel API, independent of the differ: the
-// scalar path must ignore the fault fields entirely.
+// Direct fault check at the y-drop API, independent of the differ: the
+// scalar row body must ignore the lane fault entirely.
 TEST(SimdDifferential, ScalarPathIgnoresFaultInjection) {
   const FuzzCase c = make_case_of_kind(/*seed=*/3, CaseKind::kOneSidedRelated);
-  const SeqView av(c.a.codes().data(), 1, c.a.size());
-  const SeqView bv(c.b.codes().data(), 1, c.b.size());
 
   simd::ScopedIsa force(simd::Isa::kScalar);
-  StripKernelOptions plain;
-  plain.want_traceback = true;
-  StripKernelOptions faulted = plain;
-  faulted.simd_fault_lane = 2;
-  faulted.simd_fault_delta = 1000;
+  const OneSidedOptions plain;
+  OneSidedOptions faulted;
+  faulted.simd_lane_skew = 1000;
 
-  const StripKernelResult a = strip_rectangle_dp(av, bv, c.params, plain);
-  const StripKernelResult b = strip_rectangle_dp(av, bv, c.params, faulted);
+  const OneSidedResult a = ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, plain);
+  const OneSidedResult b =
+      ydrop_one_sided_align(c.a.codes(), c.b.codes(), c.params, faulted);
   EXPECT_EQ(a.best.score, b.best.score);
+  EXPECT_EQ(a.best.i, b.best.i);
+  EXPECT_EQ(a.best.j, b.best.j);
   EXPECT_EQ(a.cells, b.cells);
-  EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.ops, b.ops);
 }
 

@@ -15,7 +15,6 @@
 #include "fastz/strip_kernel.hpp"
 #include "sequence/sequence.hpp"
 #include "testing/corpus.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -52,8 +51,7 @@ std::uint64_t allocations() {
 }
 
 // One warm call grows the scratch to the rectangle's size; every further
-// call on same-or-smaller rectangles must be allocation-free — for every
-// ISA the host can dispatch on (the SIMD sweeps share the same arena).
+// call on same-or-smaller rectangles must be allocation-free.
 TEST(StripKernelAlloc, ScoreOnlySteadyStateAllocatesNothing) {
   const testing::FuzzCase c =
       testing::make_case_of_kind(/*seed=*/11, testing::CaseKind::kOneSidedRelated);
@@ -66,22 +64,19 @@ TEST(StripKernelAlloc, ScoreOnlySteadyStateAllocatesNothing) {
   opts.want_traceback = false;   // the inspector's score-only shape
   opts.divergence_census = false;
 
-  for (const simd::Isa isa : simd::available_isas()) {
-    simd::ScopedIsa force(isa);
-    StripKernelScratch scratch;
-    const StripKernelResult warm = strip_rectangle_dp(av, bv, c.params, opts, scratch);
+  StripKernelScratch scratch;
+  const StripKernelResult warm = strip_rectangle_dp(av, bv, c.params, opts, scratch);
 
-    const std::uint64_t before = allocations();
-    StripKernelResult hot;
-    for (int iter = 0; iter < 5; ++iter) {
-      hot = strip_rectangle_dp(av, bv, c.params, opts, scratch);
-    }
-    const std::uint64_t delta = allocations() - before;
-    EXPECT_EQ(delta, 0u) << "steady-state strip_rectangle_dp allocated " << delta
-                         << " time(s) under " << simd::isa_name(isa);
-    EXPECT_EQ(hot.best.score, warm.best.score) << simd::isa_name(isa);
-    EXPECT_EQ(hot.cells, warm.cells) << simd::isa_name(isa);
+  const std::uint64_t before = allocations();
+  StripKernelResult hot;
+  for (int iter = 0; iter < 5; ++iter) {
+    hot = strip_rectangle_dp(av, bv, c.params, opts, scratch);
   }
+  const std::uint64_t delta = allocations() - before;
+  EXPECT_EQ(delta, 0u) << "steady-state strip_rectangle_dp allocated " << delta
+                       << " time(s)";
+  EXPECT_EQ(hot.best.score, warm.best.score);
+  EXPECT_EQ(hot.cells, warm.cells);
 }
 
 // The thread-local fallback overload must also be allocation-free once

@@ -227,66 +227,6 @@ TEST(StripKernelSoA, ScoreOnlyVariantSkipsTraceAllocation) {
   EXPECT_EQ(r.best.j, ref.best.j);
 }
 
-TEST(StripKernelBanded, BandSliceMatchesFullDenseTrace) {
-  // A banded run is the Hirschberg base block on the device: same sweep,
-  // codes emitted only for rows [begin, end). Every banded row must match
-  // the corresponding row of the full dense trace byte-for-byte.
-  auto [a, b] = related_pair(120, 0.8, 31);
-  const ScoreParams p = test_params();
-  const SeqView va(a.codes().data(), 1, a.size());
-  const SeqView vb(b.codes().data(), 1, b.size());
-  StripKernelOptions dense;
-  dense.want_traceback = true;
-  const auto full = strip_rectangle_dp(va, vb, p, dense);
-
-  const std::size_t stride = b.size() + 1;
-  for (const auto [begin, end] : {std::pair<std::uint32_t, std::uint32_t>{0, 9},
-                                  {40, 41},
-                                  {37, 81},
-                                  {100, static_cast<std::uint32_t>(a.size()) + 1}}) {
-    StripKernelOptions banded = dense;
-    banded.trace_row_begin = begin;
-    banded.trace_row_end = end;
-    const auto band = strip_rectangle_dp(va, vb, p, banded);
-    EXPECT_EQ(band.best.score, full.best.score);
-    EXPECT_EQ(band.cells, full.cells);
-    EXPECT_TRUE(band.ops.empty());  // the stitcher owns the walk
-    ASSERT_EQ(band.trace.size(), std::size_t{end - begin} * stride);
-    for (std::uint32_t i = begin; i < end; ++i) {
-      for (std::size_t j = 0; j < stride; ++j) {
-        ASSERT_EQ(band.trace[std::size_t{i - begin} * stride + j],
-                  full.trace[std::size_t{i} * stride + j])
-            << "row " << i << " col " << j << " band [" << begin << "," << end << ")";
-      }
-    }
-  }
-}
-
-TEST(StripKernelBanded, TallRectanglesTraceWithinTheBandOnly) {
-  // m beyond kStripKernelMaxDim is the whole point of banding: the dense
-  // path rejects the rectangle, the banded path traces a block of it.
-  const Sequence a = random_dna(kStripKernelMaxDim + 40, 3);
-  const Sequence b = random_dna(64, 4);
-  const ScoreParams p = test_params();
-  const SeqView va(a.codes().data(), 1, a.size());
-  const SeqView vb(b.codes().data(), 1, b.size());
-  StripKernelOptions dense;
-  dense.want_traceback = true;
-  EXPECT_THROW(strip_rectangle_dp(va, vb, p, dense), std::invalid_argument);
-
-  StripKernelOptions banded = dense;
-  banded.trace_row_begin = kStripKernelMaxDim;
-  banded.trace_row_end = kStripKernelMaxDim + 8;
-  const auto band = strip_rectangle_dp(va, vb, p, banded);
-  EXPECT_EQ(band.trace.size(), std::size_t{8} * (b.size() + 1));
-  EXPECT_EQ(band.cells, std::uint64_t{a.size()} * b.size());
-
-  // An oversize band is still rejected.
-  banded.trace_row_begin = 0;
-  banded.trace_row_end = kStripKernelMaxDim + 2;
-  EXPECT_THROW(strip_rectangle_dp(va, vb, p, banded), std::invalid_argument);
-}
-
 TEST(StripKernel, ReverseViewsWork) {
   // The executor runs the kernel over reversed views for left extensions.
   auto [a, b] = related_pair(70, 0.85, 12);

@@ -122,42 +122,6 @@ TEST(GenomeSynth, BackgroundIsUnrelated) {
   EXPECT_NEAR(static_cast<double>(matches) / n, 0.25, 0.03);
 }
 
-TEST(GenomeSynth, InvertedSegmentsAreReverseComplements) {
-  PairModel model;
-  model.length_a = 30000;
-  SegmentClass inv;
-  inv.per_mbp = 100.0;
-  inv.min_len = 300;
-  inv.max_len = 600;
-  inv.identity = 1.0;  // exact copy isolates the inversion itself
-  inv.inverted = true;
-  model.channel.indel_rate = 0.0;
-  model.segments = {inv};
-  const SyntheticPair p = generate_pair(model, 77);
-  ASSERT_FALSE(p.segments.empty());
-  for (const SegmentRecord& seg : p.segments) {
-    EXPECT_TRUE(seg.inverted);
-    ASSERT_EQ(seg.a_len, seg.b_len);
-    for (std::uint64_t k = 0; k < seg.a_len; ++k) {
-      EXPECT_EQ(p.b[seg.b_begin + k],
-                complement(p.a[seg.a_begin + seg.a_len - 1 - k]));
-    }
-  }
-}
-
-TEST(GenomeSynth, MixedOrientationSegmentsCoexist) {
-  PairModel model;
-  model.length_a = 40000;
-  SegmentClass fwd{60.0, 200, 400, 0.95, -1.0, false};
-  SegmentClass inv{60.0, 200, 400, 0.95, -1.0, true};
-  model.segments = {fwd, inv};
-  const SyntheticPair p = generate_pair(model, 78);
-  int forward = 0, inverted = 0;
-  for (const SegmentRecord& seg : p.segments) (seg.inverted ? inverted : forward)++;
-  EXPECT_GT(forward, 0);
-  EXPECT_GT(inverted, 0);
-}
-
 TEST(GenomeSynth, LongtailPresetsScaleFromTheBinEdge) {
   const auto full = longtail_presets();
   ASSERT_EQ(full.size(), 3u);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "align/row_precompute.hpp"
@@ -56,6 +57,18 @@ TEST(SimdIsa, ScopedOverrideNestsAndRestores) {
   EXPECT_EQ(simd::active_isa(), ambient);
 }
 
+// Forcing an ISA this host cannot run must run (and report) scalar, the
+// same rule FASTZ_SIMD follows — never dispatch a kernel the CPU lacks.
+TEST(SimdIsa, ScopedUnavailableIsaRunsScalar) {
+  for (const simd::Isa isa : {simd::Isa::kSse2, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    if (simd::isa_available(isa)) continue;
+    simd::ScopedIsa force(isa);
+    EXPECT_EQ(simd::active_isa(), simd::Isa::kScalar) << simd::isa_name(isa);
+    EXPECT_NE(simd::isa_report().find("active=scalar"), std::string::npos)
+        << simd::isa_name(isa) << ": " << simd::isa_report();
+  }
+}
+
 TEST(SimdIsa, ReportMentionsActiveIsa) {
   const std::string report = simd::isa_report();
   EXPECT_NE(report.find(simd::isa_name(simd::active_isa())), std::string::npos);
@@ -89,43 +102,26 @@ TEST(RowPrecompute, VectorVariantsMatchScalar) {
                                   prof.data(), open_extend, extend_only, count,
                                   want_d.data(), want_diag.data(), want_opened.data());
 
-    std::vector<Score> want_plain_d(count), want_plain_diag(count);
-    std::vector<std::uint8_t> want_plain_opened(count);
-    detail::row_precompute_plain_scalar(
-        s_up.data(), s_diag.data(), gd_up.data(), prof.data(), open_extend,
-        extend_only, count, want_plain_d.data(), want_plain_diag.data(),
-        want_plain_opened.data());
-
     for (const simd::Isa isa : simd::available_isas()) {
       if (isa == simd::Isa::kScalar) continue;
-      const detail::RowPrecomputeFn sat = detail::row_precompute_fn(isa);
-      const detail::RowPrecomputeFn plain = detail::row_precompute_plain_fn(isa);
-      ASSERT_NE(sat, nullptr) << simd::isa_name(isa);
-      ASSERT_NE(plain, nullptr) << simd::isa_name(isa);
+      const detail::RowPrecomputeFn fn = detail::row_precompute_fn(isa);
+      ASSERT_NE(fn, nullptr) << simd::isa_name(isa);
 
       std::vector<Score> got_d(count), got_diag(count);
       std::vector<std::uint8_t> got_opened(count);
-      sat(s_up.data(), s_diag.data(), gd_up.data(), prof.data(), open_extend,
-          extend_only, count, got_d.data(), got_diag.data(), got_opened.data());
+      fn(s_up.data(), s_diag.data(), gd_up.data(), prof.data(), open_extend, extend_only,
+         count, got_d.data(), got_diag.data(), got_opened.data(), /*lane_skew=*/0);
       EXPECT_EQ(got_d, want_d) << simd::isa_name(isa) << " count=" << count;
       EXPECT_EQ(got_diag, want_diag) << simd::isa_name(isa) << " count=" << count;
       EXPECT_EQ(got_opened, want_opened) << simd::isa_name(isa) << " count=" << count;
-
-      plain(s_up.data(), s_diag.data(), gd_up.data(), prof.data(), open_extend,
-            extend_only, count, got_d.data(), got_diag.data(), got_opened.data());
-      EXPECT_EQ(got_d, want_plain_d) << simd::isa_name(isa) << " count=" << count;
-      EXPECT_EQ(got_diag, want_plain_diag) << simd::isa_name(isa) << " count=" << count;
-      EXPECT_EQ(got_opened, want_plain_opened)
-          << simd::isa_name(isa) << " count=" << count;
     }
   }
 }
 
-// Scalar-fn selectors return null for kScalar: callers use their original
-// scalar row bodies rather than an indirect call.
+// The selector returns null for kScalar: callers use their original scalar
+// row body rather than an indirect call.
 TEST(RowPrecompute, ScalarIsaHasNoFnPointer) {
   EXPECT_EQ(detail::row_precompute_fn(simd::Isa::kScalar), nullptr);
-  EXPECT_EQ(detail::row_precompute_plain_fn(simd::Isa::kScalar), nullptr);
 }
 
 }  // namespace
