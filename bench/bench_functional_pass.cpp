@@ -1,24 +1,21 @@
-// Microbenchmark for the host-side functional pass, in three parts:
+// Microbenchmark for the host-side functional pass, in two parts:
 //
 //   1. The parallel functional pass: FastzStudy's per-seed inspect/execute
-//      loop on a thread pool vs the serial path, A/B-interleaved with
-//      min-of-repeats so OS noise cancels. The two studies are verified to
-//      produce identical alignments before any time is reported.
-//   2. The strip kernel's SoA sweep (instrumented and branch-light
-//      variants) vs the retained AoS reference, on chromosome windows
-//      spanning multiple 32-lane strips.
-//   3. The y-drop row core, scalar vs the active SIMD ISA, over the
+//      loop on a thread pool vs the serial path. The two studies are
+//      verified to produce identical alignments before any time is
+//      reported.
+//   2. The y-drop row core, scalar vs the active SIMD ISA, over the
 //      inspector's own side searches of the pair. Every side is first
 //      checked against forced scalar (exit nonzero on any divergence).
 //
-// Parts 2 and 3 time their arms paired per item (window or side) with a
-// rotating arm order, so host speed drift between arms cancels inside each
-// group; each speedup is the median over repeats of the summed-time ratio.
+// Both parts time their arms paired per item (the whole pass, or one side)
+// with a rotating arm order, so host speed drift between arms cancels
+// inside each group; each speedup is the median over repeats of the
+// summed-time ratio.
 //
-// On a single-core host the functional-pass speedup degenerates to ~1x (or
-// slightly below — pool overhead); the interesting single-core number is
-// the serial-path regression, which must stay within noise of the
-// pre-refactor loop.
+// At --threads 1 both arms of part 1 run the serial loop and its speedup
+// reads ~1x; the pool's gain needs --threads 2 or more on a host with
+// that many cores.
 #include <algorithm>
 #include <array>
 #include <functional>
@@ -31,7 +28,6 @@
 #include "align/seq_view.hpp"
 #include "align/ydrop_align.hpp"
 #include "fastz/fastz_pipeline.hpp"
-#include "fastz/strip_kernel.hpp"
 #include "report/experiment.hpp"
 #include "seed/seed_index.hpp"
 #include "sequence/benchmark_pairs.hpp"
@@ -45,19 +41,6 @@
 using namespace fastz;
 
 namespace {
-
-// Minimum wallclock of `repeats` calls to `fn`.
-template <typename Fn>
-double min_time_s(int repeats, Fn&& fn) {
-  double best = 0.0;
-  for (int rep = 0; rep < repeats; ++rep) {
-    Timer timer;
-    fn();
-    const double t = timer.elapsed_s();
-    if (rep == 0 || t < best) best = t;
-  }
-  return best;
-}
 
 // Paired timing: every item runs all arms back to back, the arm order
 // rotating with item and repeat, so host speed drift between arms cancels
@@ -138,20 +121,14 @@ void check_identical(const FastzStudy& serial, const FastzStudy& parallel) {
 int main(int argc, char** argv) {
   CliParser cli(
       "Functional-pass microbenchmark: serial vs multi-threaded FastzStudy "
-      "construction, AoS-reference vs SoA strip-kernel sweeps, and the y-drop "
-      "row core's scalar vs SIMD inspector searches.");
+      "construction, and the y-drop row core's scalar vs SIMD inspector "
+      "searches.");
   add_harness_flags(cli);
   cli.add_flag("repeats", "A/B-interleaved measurement repeats (minimum 3)", "5");
-  cli.add_flag("kernel-window", "strip-kernel rectangle side (bp)", "512");
-  cli.add_flag("kernel-windows", "number of chromosome windows per kernel sweep", "16");
   cli.add_flag("json", "write a BenchReport JSON to this path (empty: skip)",
                "BENCH_functional_pass.json");
   if (!cli.parse(argc, argv)) return 0;
   const int repeats = static_cast<int>(std::max<std::int64_t>(3, cli.get_int("repeats")));
-  const std::size_t window =
-      static_cast<std::size_t>(std::max<std::int64_t>(32, cli.get_int("kernel-window")));
-  const std::size_t windows =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("kernel-windows")));
   const std::string json_path = cli.get("json");
   const HarnessOptions options = harness_options_from(cli);
   const ScoreParams params = harness_score_params(options);
@@ -169,85 +146,29 @@ int main(int argc, char** argv) {
   parallel_opts.threads = options.threads;  // 0 = auto
   const std::size_t n_threads = resolve_thread_count(options.threads);
 
-  // --- Part 1: functional pass, serial vs pool, interleaved ---------------
+  // --- Part 1: functional pass, serial vs pool (paired per repeat) ------
   check_identical(FastzStudy(data.a, data.b, params, serial_opts),
                   FastzStudy(data.a, data.b, params, parallel_opts));
 
-  double serial_min = 0.0;
-  double parallel_min = 0.0;
-  for (int rep = 0; rep < repeats; ++rep) {
-    const double s = min_time_s(1, [&] { FastzStudy(data.a, data.b, params, serial_opts); });
-    const double p =
-        min_time_s(1, [&] { FastzStudy(data.a, data.b, params, parallel_opts); });
-    if (rep == 0 || s < serial_min) serial_min = s;
-    if (rep == 0 || p < parallel_min) parallel_min = p;
-  }
+  // Arms: 0 = serial, 1 = pool; one item, so the order alternates by repeat.
+  const auto pass_sums = paired_sums<2>(
+      repeats, 1,
+      {[&](std::size_t) { FastzStudy(data.a, data.b, params, serial_opts); },
+       [&](std::size_t) { FastzStudy(data.a, data.b, params, parallel_opts); }});
+  const double serial_min = min_sum(pass_sums, 0);
+  const double parallel_min = min_sum(pass_sums, 1);
+  const double pass_speedup = median_ratio(pass_sums, 0, 1);
 
   std::cout << "=== Functional pass (" << spec.label << ", " << data.a.size() << " x "
             << data.b.size() << " bp) ===\n";
   TextTable pass({"Variant", "Threads", "Min wallclock (ms)", "Speedup"});
   pass.add_row({"serial", "1", TextTable::num(serial_min * 1e3, 1), "1.00"});
   pass.add_row({"pool", std::to_string(n_threads), TextTable::num(parallel_min * 1e3, 1),
-                TextTable::num(serial_min / parallel_min, 2)});
+                TextTable::num(pass_speedup, 2)});
   pass.render(std::cout, false);
+  std::cout << "(speedup: median over repeats of the paired serial/pool ratio)\n";
 
-  // --- Part 2: strip kernel, AoS reference vs SoA sweeps ------------------
-  // Windows sliced from the generated chromosomes; every shape spans
-  // multiple strips so the boundary-spill path is on the clock.
-  std::vector<std::pair<SeqView, SeqView>> views;
-  for (std::size_t w = 0; w < windows; ++w) {
-    const std::size_t a_off = (w * 7919) % (data.a.size() - window);
-    const std::size_t b_off = (w * 104729) % (data.b.size() - window);
-    views.emplace_back(SeqView(data.a.codes().data() + a_off, 1, window),
-                       SeqView(data.b.codes().data() + b_off, 1, window));
-  }
-
-  StripKernelOptions instrumented;  // census on, no traceback
-  StripKernelOptions fast;          // branch-light score-only path
-  fast.divergence_census = false;
-
-  std::uint64_t aos_cells = 0;
-  std::uint64_t soa_cells = 0;
-  for (const auto& [va, vb] : views) {
-    aos_cells += strip_rectangle_dp_reference(va, vb, params, false).cells;
-    soa_cells += strip_rectangle_dp(va, vb, params, instrumented).cells;
-  }
-  if (aos_cells != soa_cells) {
-    throw std::runtime_error("SoA kernel cell count diverged from AoS reference");
-  }
-  // Arms: 0 = AoS reference, 1 = SoA with census, 2 = SoA branch-light.
-  const auto kernel_sums = paired_sums<3>(
-      repeats, views.size(),
-      {[&](std::size_t w) {
-         (void)strip_rectangle_dp_reference(views[w].first, views[w].second, params, false);
-       },
-       [&](std::size_t w) {
-         (void)strip_rectangle_dp(views[w].first, views[w].second, params, instrumented);
-       },
-       [&](std::size_t w) {
-         (void)strip_rectangle_dp(views[w].first, views[w].second, params, fast);
-       }});
-  const double aos_min = min_sum(kernel_sums, 0);
-  const double soa_min = min_sum(kernel_sums, 1);
-  const double soa_fast_min = min_sum(kernel_sums, 2);
-  const double soa_speedup = median_ratio(kernel_sums, 0, 1);
-  const double soa_fast_speedup = median_ratio(kernel_sums, 0, 2);
-
-  std::cout << "\n=== Strip kernel (" << windows << " windows of " << window << " x "
-            << window << " bp, " << aos_cells << " cells/sweep) ===\n";
-  TextTable kernel({"Variant", "Min wallclock (ms)", "GCUPS", "Speedup vs AoS"});
-  auto kernel_row = [&](const char* name, double t, double speedup) {
-    kernel.add_row({name, TextTable::num(t * 1e3, 2),
-                    TextTable::num(static_cast<double>(aos_cells) / t * 1e-9, 3),
-                    TextTable::num(speedup, 2)});
-  };
-  kernel_row("aos_reference (census)", aos_min, 1.0);
-  kernel_row("soa (census)", soa_min, soa_speedup);
-  kernel_row("soa fast (no census)", soa_fast_min, soa_fast_speedup);
-  kernel.render(std::cout, false);
-  std::cout << "(speedups: median over repeats of the per-window paired sums)\n";
-
-  // --- Part 3: y-drop row core, scalar vs SIMD (paired per side) ---------
+  // --- Part 2: y-drop row core, scalar vs SIMD (paired per side) ---------
   // The inspector's own side searches of this pair: the seed hits the pass
   // finds (same index, cap and sample seed), each extended left and right
   // with inspect_side's options — conservative pruning, score only, row
@@ -323,17 +244,10 @@ int main(int argc, char** argv) {
     telemetry::BenchReport report("functional_pass");
     report.set_repeats(repeats);
     add_harness_config(report, options);
-    report.add_config("kernel_window", std::to_string(window));
-    report.add_config("kernel_windows", std::to_string(windows));
     report.add_config("row_core_sides", std::to_string(sides.size()));
     report.add_metric("pass.serial_min_s", serial_min);
     report.add_metric("pass.pool_min_s", parallel_min);
-    report.add_metric("pass.speedup", serial_min / parallel_min);
-    report.add_metric("kernel.aos_min_s", aos_min);
-    report.add_metric("kernel.soa_min_s", soa_min);
-    report.add_metric("kernel.soa_fast_min_s", soa_fast_min);
-    report.add_metric("kernel.soa_speedup", soa_speedup);
-    report.add_metric("kernel.soa_fast_speedup", soa_fast_speedup);
+    report.add_metric("pass.speedup", pass_speedup);
     report.add_metric("kernel.scalar_min_s", scalar_min);
     report.add_metric("kernel.simd_min_s", simd_min);
     report.add_metric("kernel.simd_speedup", simd_speedup);

@@ -529,9 +529,9 @@ int main(int argc, char** argv) {
   double closed_rps = 0.0;
   if (has_scenario(scenarios, "ab")) {
     ServerConfig batched = base;
-    batched.enable_cache = false;  // isolate batching from caching
+    batched.cache_max_entries = 0;  // isolate batching from caching
     ServerConfig batch1 = batched;
-    batch1.enable_batching = false;
+    batch1.batch_max = 1;
 
     RunStats best_batched;
     RunStats best_batch1;

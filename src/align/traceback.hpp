@@ -3,9 +3,10 @@
 // The FastZ executor compresses the per-cell traceback state of all three
 // scoring matrices into a single byte (Section 3.1.3: the S recurrence picks
 // among 3 choices — 2 bits; I and D each pick among 2 — 1 bit each). The
-// same packing is used by the sequential oracle, the executor, and the
-// inspector's 16x16 eager tile so that one traceback walker serves all of
-// them (and tests can compare their outputs structurally).
+// same packing is used by the sequential oracle, the executor (which also
+// traces the inspector's 16x16 eager tile), and the warp-strip kernel, so
+// that one traceback walker serves all of them (and tests can compare
+// their outputs structurally).
 //
 // Layout of a code byte:
 //   bits 0-1  source of S:   0 = diagonal (match/substitution)

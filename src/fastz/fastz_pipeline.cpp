@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "fastz/strip_kernel.hpp"
 #include "gpusim/batch_scheduler.hpp"
 #include "gpusim/profiler.hpp"
 #include "telemetry/metrics.hpp"
@@ -241,25 +240,16 @@ void FastzStudy::pass_seed(const Sequence& a, const Sequence& b,
 void FastzStudy::pass_assemble(const PipelineOptions& base,
                                std::vector<Alignment>& executed) {
   const bool telem = telemetry::enabled();
-  telemetry::LogHistogram* h_search_cells = nullptr;
-  telemetry::LogHistogram* h_trimmed_cells = nullptr;
-  telemetry::Counter* c_eager = nullptr;
-  if (telem) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    h_search_cells = &reg.histogram("fastz.seed.search_cells");
-    h_trimmed_cells = &reg.histogram("fastz.seed.trimmed_cells");
-    c_eager = &reg.counter("fastz.seeds.eager");
-  }
+  telemetry::Counter* c_eager =
+      telem ? &telemetry::MetricsRegistry::global().counter("fastz.seeds.eager") : nullptr;
   for (std::size_t idx = 0; idx < seed_work_.size(); ++idx) {
     SeedWork& work = seed_work_[idx];
     inspector_cells_ += work.inspection.search_cells();
-    if (telem) h_search_cells->record(work.inspection.search_cells());
     if (work.inspection.eager) {
       if (telem) c_eager->add(1);
       if (work.has_alignment) alignments_.push_back(work.inspection.alignment);
-    } else {
-      if (telem) h_trimmed_cells->record(work.trimmed_cells);
-      if (work.has_alignment) alignments_.push_back(std::move(executed[idx]));
+    } else if (work.has_alignment) {
+      alignments_.push_back(std::move(executed[idx]));
     }
   }
   if (base.deduplicate) deduplicate_alignments(alignments_);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "fastz/strip_kernel.hpp"
+#include "fastz/executor.hpp"
 
 namespace fastz {
 
@@ -61,27 +61,6 @@ SideInspection inspect_side(SeqView a, SeqView b, const ScoreParams& params,
   return side;
 }
 
-// Eager traceback for one side: rerun the tiny optimal rectangle with the
-// warp-strip kernel (this is the 16x16 shared-memory tile — in the real
-// kernel these codes were recorded during the search; functionally,
-// recomputing the rectangle yields the identical codes) and walk from the
-// inspector's optimal cell.
-std::vector<AlignOp> eager_side_ops(SeqView a, SeqView b, const BestCell& best,
-                                    const ScoreParams& params) {
-  if (best.i == 0 && best.j == 0) return {};
-  // Traceback on, divergence census off: the eager path consumes only the
-  // codes, so the tile runs the branch-light instantiation.
-  StripKernelOptions tile_opts;
-  tile_opts.want_traceback = true;
-  tile_opts.divergence_census = false;
-  StripKernelResult tile = strip_rectangle_dp(a.prefix(best.i), b.prefix(best.j),
-                                              params, tile_opts);
-  const std::size_t stride = std::size_t{best.j} + 1;
-  return walk_traceback(best.i, best.j, [&](std::uint32_t i, std::uint32_t j) {
-    return tile.trace[std::size_t{i} * stride + j];
-  });
-}
-
 }  // namespace
 
 SeedInspection inspect_seed(const Sequence& a, const Sequence& b, const SeedHit& hit,
@@ -108,19 +87,14 @@ SeedInspection inspect_seed(const Sequence& a, const Sequence& b, const SeedHit&
               out.right.best.j <= tile;
 
   if (out.eager) {
-    const std::vector<AlignOp> left_ops =
-        eager_side_ops(left_a, left_b, out.left.best, params);
-    const std::vector<AlignOp> right_ops =
-        eager_side_ops(right_a, right_b, out.right.best, params);
-
-    Alignment& aln = out.alignment;
-    aln.score = out.score;
-    aln.a_begin = out.anchor_a - out.left.best.i;
-    aln.b_begin = out.anchor_b - out.left.best.j;
-    aln.a_end = out.anchor_a + out.right.best.i;
-    aln.b_end = out.anchor_b + out.right.best.j;
-    aln.ops.assign(left_ops.rbegin(), left_ops.rend());
-    aln.ops.insert(aln.ops.end(), right_ops.begin(), right_ops.end());
+    // The eager tile is the optimal rectangle by definition, so its
+    // traceback is the trimmed executor's: the same row core confined to
+    // [0..i*] x [0..j*], walked from the inspector's optimal cell (in the
+    // real kernel these codes were recorded in shared memory during the
+    // search; recomputing the rectangle yields the identical codes).
+    FastzConfig trimmed = config;
+    trimmed.executor_trimming = true;
+    out.alignment = execute_seed(a, b, out, params, trimmed, limits).alignment;
   }
   return out;
 }

@@ -10,7 +10,10 @@
 // The exception is the 16x16 eager-traceback tile (second contribution,
 // Section 3.1.2): alignments whose optimal cell lies inside the tile are
 // traced immediately from shared-memory state, eliminating the executor for
-// the ~80% of seeds with extremely short alignments.
+// the ~80% of seeds with extremely short alignments. On the host the tile
+// is the optimal rectangle by definition, so inspect_seed traces it with
+// the executor's trimmed side traceback (executor.hpp): one DP engine, the
+// y-drop row core, serves the search, the tile and the executor.
 //
 // Alongside the functional result, the inspector derives the warp-strip
 // execution geometry (anti-diagonal steps per 32-column strip, boundary
@@ -27,6 +30,9 @@
 #include "sequence/sequence.hpp"
 
 namespace fastz {
+
+// Columns per strip: one per warp lane.
+inline constexpr std::uint32_t kWarpWidth = 32;
 
 // Warp-strip execution geometry of an explored DP region.
 struct StripGeometry {
@@ -76,7 +82,8 @@ struct SeedInspection {
 
 // Inspects one seed: conservative y-drop search on both sides plus the
 // eager-traceback tile. `limits` carries the search caps (prune mode and
-// traceback flags are overridden internally).
+// traceback flags are overridden internally); the tile's traceback runs
+// under the same limits.
 SeedInspection inspect_seed(const Sequence& a, const Sequence& b, const SeedHit& hit,
                             std::size_t seed_span, const ScoreParams& params,
                             const FastzConfig& config, const OneSidedOptions& limits = {});

@@ -14,14 +14,18 @@
 //   * only the strip's last lane spills its column (12 B per row) to
 //     memory, where the next strip's lane 0 picks it up — the >96% traffic
 //     reduction of Section 3.2;
-//   * packed traceback codes (one byte per cell) are emitted when requested
-//     (the executor path; the inspector's 16x16 eager tile is this same
-//     kernel at tile size).
+//   * packed traceback codes (one byte per cell) are emitted when requested.
 //
 // The emulation executes lane-by-lane in plain C++, but the data flow is
 // exactly the warp program's: every value a "lane" reads comes either from
 // its own two register diagonals, its neighbor's, or the spilled boundary
 // column.
+//
+// The host pass does not run this kernel: the inspector searches and the
+// executor (eager tile included) traces on the y-drop row core. The kernel
+// is the lane-accurate model the divergence census (bench_divergence,
+// examples/perf_analysis), BM_StripKernel and the differ's exact case kinds
+// measure and check.
 #pragma once
 
 #include <array>
@@ -32,11 +36,10 @@
 #include "align/gotoh_reference.hpp"
 #include "align/seq_view.hpp"
 #include "align/traceback.hpp"
+#include "fastz/inspector.hpp"
 #include "score/score_params.hpp"
 
 namespace fastz {
-
-inline constexpr std::uint32_t kWarpWidth = 32;
 
 struct StripKernelResult {
   BestCell best;                        // canonical tie-break (gotoh_reference.hpp)
@@ -61,58 +64,12 @@ struct StripKernelResult {
   double mean_divergent_paths() const noexcept;
 };
 
-// Kernel variant switches. The score/geometry outputs (best, cells,
-// warp_steps, strips, boundary_spill_bytes) are identical across variants;
-// the switches only control which instrumentation the hot loop carries:
-//
-//   want_traceback    — allocate the dense trace buffer, emit packed codes,
-//                       and walk `ops` (the inspector's eager tile).
-//   divergence_census — populate divergence_histogram. Pure profiling
-//                       output; the functional pipeline never consumes it,
-//                       so hot callers (the inspector's eager tile) turn it
-//                       off and the per-cell path-mask bookkeeping compiles
-//                       out of the lane loop entirely.
-struct StripKernelOptions {
-  bool want_traceback = false;
-  bool divergence_census = true;
-};
-
-// Reusable per-thread working memory of strip_rectangle_dp: the boundary
-// column spilled between strips (double-buffered). Grows to the largest
-// rectangle seen and is then reused allocation-free — the per-seed steady
-// state performs zero heap allocations on the score-only path (asserted by
-// a counting allocator in tests/fastz/strip_alloc_test.cpp). Callers that
-// don't pass one share a thread-local instance.
-struct StripKernelScratch {
-  std::vector<Score> bound_s;
-  std::vector<Score> bound_gi;
-  std::vector<Score> next_bound_s;
-  std::vector<Score> next_bound_gi;
-};
-
-// Computes the full (m+1) x (n+1) rectangle for A[0..m) x B[0..n).
-// `want_traceback` allocates the dense trace buffer, so m and n are capped
-// (throws std::invalid_argument beyond `kStripKernelMaxDim` with traceback).
-StripKernelResult strip_rectangle_dp(SeqView a, SeqView b, const ScoreParams& params,
-                                     const StripKernelOptions& opts);
-
-// Same, with a caller-owned scratch arena (zero-allocation steady state for
-// per-seed callers that keep one arena per worker).
-StripKernelResult strip_rectangle_dp(SeqView a, SeqView b, const ScoreParams& params,
-                                     const StripKernelOptions& opts,
-                                     StripKernelScratch& scratch);
-
-// Back-compat overload: census on, matching the original instrumented loop.
+// Computes the full (m+1) x (n+1) rectangle for A[0..m) x B[0..n), always
+// with the divergence census. `want_traceback` allocates the dense trace
+// buffer, emits packed codes and walks `ops`, so m and n are capped (throws
+// std::invalid_argument beyond `kStripKernelMaxDim` with traceback).
 StripKernelResult strip_rectangle_dp(SeqView a, SeqView b, const ScoreParams& params,
                                      bool want_traceback);
-
-// Original AoS formulation (struct-of-32-lanes registers, full-array
-// rotation copies, unconditional instrumentation). Differential oracle for
-// the SoA kernel and the baseline side of bench_functional_pass; not for
-// production callers.
-StripKernelResult strip_rectangle_dp_reference(SeqView a, SeqView b,
-                                               const ScoreParams& params,
-                                               bool want_traceback);
 
 inline constexpr std::uint32_t kStripKernelMaxDim = 4096;
 

@@ -15,7 +15,7 @@ namespace fastz::gpusim {
 namespace {
 
 // Modeled (virtual-GPU) per-kernel components, recorded as integer
-// nanoseconds so they land in the same counter/histogram machinery as the
+// nanoseconds so they land in the same counter machinery as the
 // functional counters. Gated on the telemetry flag by the caller.
 void record_kernel_cost(const KernelCost& cost) {
   // This is the per-launch hot path under concurrent shard workers; the
@@ -29,14 +29,12 @@ void record_kernel_cost(const KernelCost& cost) {
   static auto& c_launch = reg.counter("gpusim.kernel.launch_ns");
   static auto& c_instr = reg.counter("gpusim.kernel.warp_instructions");
   static auto& c_bytes = reg.counter("gpusim.kernel.mem_bytes");
-  static auto& h_tasks = reg.histogram("gpusim.kernel.tasks");
   c_kernels.add(1);
   c_compute.add(static_cast<std::uint64_t>(cost.compute_time_s * 1e9));
   c_memory.add(static_cast<std::uint64_t>(cost.memory_time_s * 1e9));
   c_launch.add(static_cast<std::uint64_t>(cost.launch_overhead_s * 1e9));
   c_instr.add(cost.warp_instructions);
   c_bytes.add(cost.mem_bytes);
-  h_tasks.record(cost.tasks);
 }
 
 // Profiled launches also surface as registry counters so a --trace/--json
@@ -47,13 +45,9 @@ void record_profiled_launch(const KernelProfile& profile) {
   static auto& c_kernels = reg.counter("gpusim.profile.kernels");
   static auto& c_issued = reg.counter("gpusim.profile.issued_warp_cycles");
   static auto& c_stalled = reg.counter("gpusim.profile.stalled_warp_cycles");
-  static auto& h_occ = reg.histogram("gpusim.profile.occupancy_milli");
-  static auto& h_imb = reg.histogram("gpusim.profile.imbalance_milli");
   c_kernels.add(1);
   c_issued.add(profile.counters.issued_warp_cycles);
   c_stalled.add(profile.counters.stalled_warp_cycles);
-  h_occ.record(static_cast<std::uint64_t>(profile.counters.achieved_occupancy * 1000.0));
-  h_imb.record(static_cast<std::uint64_t>(profile.counters.load_imbalance() * 1000.0));
 }
 
 }  // namespace

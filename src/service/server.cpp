@@ -16,8 +16,7 @@ namespace fastz::service {
 
 AlignmentServer::AlignmentServer(ServerConfig config, bool start_paused)
     : config_(std::move(config)),
-      cache_(config_.enable_cache ? config_.cache_max_entries : 0,
-             config_.enable_cache ? config_.cache_max_bytes : 0),
+      cache_(config_.cache_max_entries, config_.cache_max_bytes),
       shards_(std::max<std::size_t>(1, config_.shards), config_.device) {
   if (config_.queue_limit == 0) {
     throw std::invalid_argument("AlignmentServer: queue_limit must be >= 1");
@@ -94,9 +93,7 @@ std::future<AlignResult> AlignmentServer::submit(AlignRequest request) {
   cv_batcher_.notify_one();
   flight.record(telemetry::FlightEventKind::kSubmit, rid, Digest128{}, depth);
   if (telemetry::enabled()) {
-    auto& reg = telemetry::MetricsRegistry::global();
-    reg.counter("service.requests.accepted").add(1);
-    reg.histogram("service.queue.depth").record(depth);
+    telemetry::MetricsRegistry::global().counter("service.requests.accepted").add(1);
   }
   return future;
 }
@@ -191,15 +188,13 @@ void AlignmentServer::batcher_loop() {
     // Linger: give concurrent arrivals batch_window_s (measured from the
     // moment the batcher first sees work) to coalesce, up to batch_max.
     // Draining at shutdown skips the window — latency no longer matters.
-    if (config_.enable_batching && !stopping_ && pending_.size() < config_.batch_max) {
+    if (!stopping_ && pending_.size() < config_.batch_max) {
       cv_batcher_.wait_for(
           lock, std::chrono::duration<double>(config_.batch_window_s),
           [&] { return stopping_ || pending_.size() >= config_.batch_max; });
       if (paused_ && !stopping_) continue;  // paused mid-linger: hold the queue
     }
-    const std::size_t take =
-        config_.enable_batching ? std::min(config_.batch_max, pending_.size())
-                                : std::size_t{1};
+    const std::size_t take = std::min(config_.batch_max, pending_.size());
     Batch batch;
     batch.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
@@ -252,10 +247,7 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
   const Digest128 batch_id =
       batch.empty() ? Digest128{} : batch.front().trace.batch_id;
   const std::string batch_hex = telemetry::trace_id_hex(batch_id);
-  if (telem) {
-    reg.counter("service.batches").add(1);
-    reg.histogram("service.batch.items").record(batch.size());
-  }
+  if (telem) reg.counter("service.batches").add(1);
 
   // Request-lifecycle spans live on their own trace process (pid 3, one of
   // a few dozen lanes keyed by the request counter) so the per-request
@@ -347,17 +339,15 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
     std::vector<std::size_t> misses;
     misses.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (config_.enable_cache) {
-        if (auto hit = cache_.get(batch[i].key)) {
-          AlignResult result;
-          result.outcome = std::move(*hit);
-          result.shard = static_cast<std::uint32_t>(shard);
-          result.cache_hit = true;
-          cache_hits_.fetch_add(1, std::memory_order_relaxed);
-          finish(batch[i], std::move(result), /*cache_hit=*/true, {});
-          fulfilled[i] = true;
-          continue;
-        }
+      if (auto hit = cache_.get(batch[i].key)) {
+        AlignResult result;
+        result.outcome = std::move(*hit);
+        result.shard = static_cast<std::uint32_t>(shard);
+        result.cache_hit = true;
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        finish(batch[i], std::move(result), /*cache_hit=*/true, {});
+        fulfilled[i] = true;
+        continue;
       }
       misses.push_back(i);
     }
@@ -427,7 +417,7 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
       outcome.inspector_cells = studies[u].inspector_cells();
       outcome.modeled_gpu_s = run.modeled.total_s();
       charged_s += outcome.modeled_gpu_s;
-      if (config_.enable_cache) cache_.put(batch[unique[u]].key, outcome);
+      cache_.put(batch[unique[u]].key, outcome);
       outcomes[u] = std::move(outcome);
     }
     shards_.charge(shard, charged_s);

@@ -15,11 +15,13 @@
 // - Micro-batching: the batcher coalesces up to batch_max requests that
 //   arrive within batch_window_s of the first waiting request into ONE
 //   run_functional_batch call — one seed-index build per distinct target,
-//   one worker sweep, one dispatch round-trip. enable_batching=false
-//   dispatches batches of exactly one (the A/B baseline the bench
+//   one worker sweep, one dispatch round-trip. batch_max = 1 dispatches
+//   each request alone with no linger (the A/B baseline the bench
 //   compares against); results are bit-identical either way.
 // - Caching: answers repeat keys (request_key) from the ResultCache
 //   without touching the pipeline; per-batch duplicates run once.
+//   cache_max_entries = 0 (or cache_max_bytes = 0) turns the cache off:
+//   every lookup misses and is counted as a miss.
 // - Sharding: shards worker threads each own one virtual GPU; batches go
 //   to the least-modeled-busy shard (gpusim::ShardSet), which is charged
 //   the derived device seconds of the work it serves.
@@ -56,13 +58,11 @@ namespace fastz::service {
 
 struct ServerConfig {
   std::size_t queue_limit = 64;   // pending requests before sheds begin
-  std::size_t batch_max = 8;      // per-dispatch coalescing ceiling
+  std::size_t batch_max = 8;      // per-dispatch coalescing ceiling; 1 = no batching
   double batch_window_s = 2e-4;   // linger after the first waiting request
-  bool enable_batching = true;    // false = dispatch one request at a time
   std::size_t shards = 1;         // worker threads, one virtual GPU each
   std::size_t threads_per_shard = 1;  // functional-pass workers per dispatch
-  bool enable_cache = true;
-  std::size_t cache_max_entries = 1024;
+  std::size_t cache_max_entries = 1024;  // 0 = no cache
   std::size_t cache_max_bytes = std::size_t{64} << 20;
   // Latency objective (SLO) per request, 0 = none. Breaches are counted,
   // recorded in the flight recorder, and (with postmortem_path set) dump a

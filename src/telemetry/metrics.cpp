@@ -1,68 +1,6 @@
 #include "telemetry/metrics.hpp"
 
-#include <bit>
-
 namespace fastz::telemetry {
-
-void LogHistogram::record(std::uint64_t value) noexcept {
-  const std::size_t bucket = static_cast<std::size_t>(std::bit_width(value));
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-
-  std::uint64_t seen = min_.load(std::memory_order_relaxed);
-  while (value < seen &&
-         !min_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-  seen = max_.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t LogHistogram::min() const noexcept {
-  const std::uint64_t m = min_.load(std::memory_order_relaxed);
-  return m == UINT64_MAX ? 0 : m;
-}
-
-double LogHistogram::mean() const noexcept {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
-}
-
-std::uint64_t LogHistogram::bucket_lower(std::size_t bucket) noexcept {
-  return bucket == 0 ? 0 : std::uint64_t{1} << (bucket - 1);
-}
-
-std::uint64_t LogHistogram::bucket_upper(std::size_t bucket) noexcept {
-  if (bucket == 0) return 0;
-  if (bucket >= 64) return UINT64_MAX;
-  return (std::uint64_t{1} << bucket) - 1;
-}
-
-std::uint64_t LogHistogram::percentile_upper_bound(double p) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0) return 0;
-  if (p < 0.0) p = 0.0;
-  if (p > 100.0) p = 100.0;
-  // Rank of the percentile element (1-based, ceil) within the sorted data.
-  std::uint64_t rank = static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(n));
-  if (rank == 0) rank = 1;
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += bucket_count(b);
-    if (seen >= rank) return bucket_upper(b);
-  }
-  return max();
-}
-
-void LogHistogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard lock(mutex_);
@@ -73,40 +11,12 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-LogHistogram& MetricsRegistry::histogram(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<LogHistogram>()).first;
-  }
-  return *it->second;
-}
-
 std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::counter_snapshot()
     const {
   std::lock_guard lock(mutex_);
   std::vector<std::pair<std::string, std::uint64_t>> out;
   out.reserve(counters_.size());
   for (const auto& [name, c] : counters_) out.emplace_back(name, c->value());
-  return out;
-}
-
-std::vector<std::pair<std::string, HistogramSnapshot>>
-MetricsRegistry::histogram_snapshot() const {
-  std::lock_guard lock(mutex_);
-  std::vector<std::pair<std::string, HistogramSnapshot>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot snap;
-    snap.count = h->count();
-    snap.sum = h->sum();
-    snap.min = h->min();
-    snap.max = h->max();
-    snap.mean = h->mean();
-    snap.p50_bucket_upper = h->percentile_upper_bound(50.0);
-    snap.p99_bucket_upper = h->percentile_upper_bound(99.0);
-    out.emplace_back(name, snap);
-  }
   return out;
 }
 
@@ -142,23 +52,12 @@ MetricsRegistry::sketch_snapshot() const {
 void MetricsRegistry::reset_values() {
   std::lock_guard lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, s] : sketches_) s->reset();
 }
 
 std::size_t MetricsRegistry::counter_count() const {
   std::lock_guard lock(mutex_);
   return counters_.size();
-}
-
-std::size_t MetricsRegistry::histogram_count() const {
-  std::lock_guard lock(mutex_);
-  return histograms_.size();
-}
-
-std::size_t MetricsRegistry::sketch_count() const {
-  std::lock_guard lock(mutex_);
-  return sketches_.size();
 }
 
 MetricsRegistry& MetricsRegistry::global() {

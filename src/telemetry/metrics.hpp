@@ -1,6 +1,6 @@
-// Thread-safe registry of named counters and log-scale histograms.
+// Thread-safe registry of named counters and quantile sketches.
 //
-// Counters and histograms are plain atomics once created, so concurrent
+// Counters and sketches are plain atomics once created, so concurrent
 // increments never contend on the registry lock; the lock guards only
 // name -> instrument resolution (and snapshotting for export). Instruments
 // live for the registry's lifetime at stable addresses, so hot call sites
@@ -12,7 +12,6 @@
 // nanoseconds; byte quantities end in "_bytes".
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -38,57 +37,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-// Power-of-two (log2) bucketed histogram of unsigned values. Bucket b holds
-// values v with bit_width(v) == b, i.e. bucket 0 is {0}, bucket 1 is {1},
-// bucket 2 is {2,3}, bucket 3 is {4..7}, ... Recording is wait-free
-// (relaxed atomics); aggregate queries are approximate under concurrent
-// writers but exact once writers quiesce.
-class LogHistogram {
- public:
-  static constexpr std::size_t kBuckets = 65;  // bit_width of uint64 is 0..64
-
-  void record(std::uint64_t value) noexcept;
-
-  std::uint64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t min() const noexcept;  // 0 when empty
-  std::uint64_t max() const noexcept { return max_.load(std::memory_order_relaxed); }
-  double mean() const noexcept;
-
-  std::uint64_t bucket_count(std::size_t bucket) const noexcept {
-    return buckets_[bucket].load(std::memory_order_relaxed);
-  }
-  // Inclusive value range covered by `bucket` ([0,0] for bucket 0).
-  static std::uint64_t bucket_lower(std::size_t bucket) noexcept;
-  static std::uint64_t bucket_upper(std::size_t bucket) noexcept;
-
-  // Upper bound of the bucket containing the p-th percentile (p in [0,100]);
-  // log-scale resolution, 0 when empty.
-  std::uint64_t percentile_upper_bound(double p) const noexcept;
-
-  void reset() noexcept;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> min_{UINT64_MAX};
-  std::atomic<std::uint64_t> max_{0};
-};
-
-// Point-in-time copy of a histogram, for exporters. The percentile fields
-// are log2 BUCKET UPPER BOUNDS (up to 2x above the true percentile) — the
-// names say so; use a QuantileSketch when a real quantile is needed.
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  double mean = 0.0;
-  std::uint64_t p50_bucket_upper = 0;
-  std::uint64_t p99_bucket_upper = 0;
-};
-
 // Point-in-time copy of a quantile sketch, for exporters. Quantiles carry
 // the sketch's relative-error bound (QuantileSketch::kRelativeError).
 struct SketchSnapshot {
@@ -106,13 +54,11 @@ class MetricsRegistry {
   // Create-or-get; the returned reference stays valid for the registry's
   // lifetime, so call sites may cache it.
   Counter& counter(std::string_view name);
-  LogHistogram& histogram(std::string_view name);
   QuantileSketch& sketch(std::string_view name);
 
   // Sorted-by-name copies of current values (zero-valued instruments are
   // included; callers filter if they want).
   std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot() const;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histogram_snapshot() const;
   std::vector<std::pair<std::string, SketchSnapshot>> sketch_snapshot() const;
 
   // Zeroes every instrument, keeping registrations (cached pointers stay
@@ -120,8 +66,6 @@ class MetricsRegistry {
   void reset_values();
 
   std::size_t counter_count() const;
-  std::size_t histogram_count() const;
-  std::size_t sketch_count() const;
 
   // Process-wide registry used by the built-in instrumentation.
   static MetricsRegistry& global();
@@ -131,7 +75,6 @@ class MetricsRegistry {
   // unique_ptr nodes give stable addresses across rehash-free std::map; the
   // map itself is never erased from.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<LogHistogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<QuantileSketch>, std::less<>> sketches_;
 };
 

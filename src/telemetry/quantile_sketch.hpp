@@ -1,9 +1,9 @@
 // Mergeable fixed-memory streaming quantile sketch (DDSketch-style).
 //
-// The service's latency reporting needs real quantiles, not the log2
-// bucket upper bounds of LogHistogram (up to 2x off at p99). This sketch
-// buckets positive values into geometric buckets of ratio
-// gamma = (1 + alpha) / (1 - alpha) with alpha = kRelativeError = 1%:
+// The registry's one distribution instrument: the service's latency
+// reporting needs real quantiles, not log2 bucket upper bounds (up to 2x
+// off at p99). This sketch buckets positive values into geometric buckets
+// of ratio gamma = (1 + alpha) / (1 - alpha) with alpha = kRelativeError = 1%:
 // bucket i holds values in (gamma^(i-1), gamma^i], and a quantile query
 // returns the bucket's log-midpoint (1 - alpha) * gamma^i, which is within
 // a factor (1 +- alpha) of every value the bucket can hold. The quantile
@@ -21,8 +21,8 @@
 // FIXED memory: kSlots atomic counters (~18 KB), no collapsing, no
 // allocation after construction. Zero values get the exact slot 0.
 //
-// Recording is wait-free (relaxed atomic adds, same discipline as
-// LogHistogram); sketches merge by bucket-wise addition, so per-shard or
+// Recording is wait-free (relaxed atomic adds, same discipline as the
+// registry's counters); sketches merge by bucket-wise addition, so per-shard or
 // per-repeat sketches combine without error growth. Aggregate queries are
 // approximate under concurrent writers and exact once writers quiesce.
 #pragma once

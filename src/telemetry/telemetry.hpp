@@ -1,10 +1,10 @@
 // Process-wide telemetry switch.
 //
-// Telemetry (trace spans, metric counters, histograms) is off by default so
-// instrumented hot paths pay exactly one relaxed atomic load. Benches and
-// tools flip it on when they want a timeline or a metrics export; everything
-// downstream of the flag — buffer registration, string construction, clock
-// reads — happens only on the enabled path.
+// Telemetry (trace spans, metric counters, quantile sketches) is off by
+// default so instrumented hot paths pay exactly one relaxed atomic load.
+// Benches and tools flip it on when they want a timeline or a metrics
+// export; everything downstream of the flag — buffer registration, string
+// construction, clock reads — happens only on the enabled path.
 #pragma once
 
 #include <atomic>

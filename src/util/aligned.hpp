@@ -1,8 +1,7 @@
 // Cache-line-aligned allocator for DP row storage.
 //
 // The vectorized row sweeps load the previous row's S/D arrays with full
-// vectors; 64-byte alignment keeps those loads off cache-line splits and
-// matches the alignas(64) of the strip kernel's SoA lane planes.
+// vectors; 64-byte alignment keeps those loads off cache-line splits.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,8 @@
 // under an installed ProfilerSession). Functional totals must be
 // consistent across the fuzz corpus's case kinds, the two arms must model
 // identical costs, and neither may depend on the functional pass's thread
-// count. DispatchAtScale pins the modeled output of the harness pair.
+// count. DispatchAtScale pins the modeled output and the alignments of the
+// harness pair.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -161,6 +162,72 @@ TEST_F(DispatchAtScale, ModeledOutputIsPinned) {
     }
   }
   EXPECT_EQ(digest.finish().hex(), "519746742d637be7681dcddea4f33b0a") << table.str();
+}
+
+// Every alignment the pass produces, pinned bit for bit on the harness pair:
+// the reported list, then each eager seed's tile alignment in seed order.
+// No eager tile clears the gapped threshold here, so the reported list alone
+// would never see the eager path. One digest covers score, coordinates and
+// ops of all of them; `kCheckpoints` holds the running digest's first 8 hex
+// digits after each reported alignment and after every 256th eager tile, so
+// a mismatch names the first differing reported alignment, or the first
+// 256-tile window that differs. A change to the inspector, the executor or
+// the DP engines must leave both unchanged.
+TEST_F(DispatchAtScale, AlignmentsArePinned) {
+  std::vector<const Alignment*> entries;
+  for (const Alignment& aln : study().alignments()) entries.push_back(&aln);
+  const std::size_t reported = entries.size();
+  for (const SeedWork& work : study().seed_work()) {
+    if (work.inspection.eager) entries.push_back(&work.inspection.alignment);
+  }
+  constexpr std::size_t kEagerWindow = 256;
+
+  DigestBuilder digest;
+  std::vector<std::size_t> window_end;  // entries covered by each checkpoint
+  std::vector<std::string> checkpoints;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const Alignment& aln = *entries[k];
+    digest.update_i64(aln.score);
+    for (const std::uint64_t v : {aln.a_begin, aln.a_end, aln.b_begin, aln.b_end}) {
+      digest.update_u64(v);
+    }
+    digest.update_sized(aln.ops.data(), aln.ops.size());
+    const std::size_t done = k + 1;
+    if (done <= reported || (done - reported) % kEagerWindow == 0 || done == entries.size()) {
+      window_end.push_back(done);
+      checkpoints.push_back(digest.finish().hex().substr(0, 8));
+    }
+  }
+
+  const std::vector<std::string> kCheckpoints = {
+      "e0a8dc67", "4254d4fc", "e23b4831", "bc0547e3", "c046f5a3", "f3e45871", "82a5a241",
+      "b5eff05d", "c44beb4e", "d9ddbeda", "c189de39", "db5cc82e", "0fb501aa", "b2d66a59",
+      "af976d93", "e51dbdcc", "b2a4aaa1", "de769d27", "8ecba02d", "7e503c94", "b82f79fd",
+      "04b0a85c", "e3c5bad6", "5f5b698c", "3d3d9538"};
+  const std::string kDigest = "3d3d9538160484b53cc17771a13dc069";
+  std::ostringstream first_difference;
+  for (std::size_t c = 0; c < checkpoints.size(); ++c) {
+    if (c < kCheckpoints.size() && checkpoints[c] == kCheckpoints[c]) continue;
+    const std::size_t begin = c == 0 ? 0 : window_end[c - 1];
+    const Alignment& aln = *entries[begin];
+    const std::string cigar = aln.cigar();
+    if (begin < reported) {
+      first_difference << "reported alignment " << begin << " of " << entries.size();
+    } else {
+      first_difference << "eager tiles [" << begin << ", " << window_end[c] << ") of "
+                       << entries.size() << ", first";
+    }
+    first_difference << ": score " << aln.score << ", A ["
+                     << aln.a_begin << ", " << aln.a_end << "), B [" << aln.b_begin << ", "
+                     << aln.b_end << "), " << aln.ops.size() << " ops, "
+                     << cigar.substr(0, 120) << (cigar.size() > 120 ? "..." : "") << "\n";
+    break;
+  }
+  std::ostringstream measured;
+  for (const std::string& cp : checkpoints) measured << '"' << cp << "\", ";
+  EXPECT_EQ(entries.size(), 2645u);
+  EXPECT_EQ(digest.finish().hex(), kDigest)
+      << "first difference at " << first_difference.str() << "checkpoints: " << measured.str();
 }
 
 TEST_F(DispatchAtScale, BatchedCollapsesLaunchCount) {

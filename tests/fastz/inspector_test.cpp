@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "align/extension.hpp"
-#include "fastz/strip_kernel.hpp"
 #include "testing/test_sequences.hpp"
 
 namespace fastz {

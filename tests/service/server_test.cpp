@@ -100,7 +100,7 @@ TEST(AlignmentServer, StagedQueueCoalescesIntoOneBatch) {
 
 TEST(AlignmentServer, BatchingDisabledDispatchesOneAtATime) {
   ServerConfig config = small_config();
-  config.enable_batching = false;
+  config.batch_max = 1;  // no linger, one request per dispatch
   config.shards = 1;
   AlignmentServer server(config, /*start_paused=*/true);
 
@@ -160,18 +160,21 @@ TEST(AlignmentServer, RepeatRequestHitsTheCache) {
 
 TEST(AlignmentServer, CacheDisabledAlwaysRuns) {
   ServerConfig config = small_config();
-  config.enable_cache = false;
+  config.cache_max_entries = 0;
   AlignmentServer server(config);
   const auto c = make_case_of_kind(11, CaseKind::kPipeline);
   EXPECT_FALSE(server.submit(request_from(c)).get().cache_hit);
   EXPECT_FALSE(server.submit(request_from(c)).get().cache_hit);
   EXPECT_EQ(server.stats().pipeline_items, 2u);
+  // A zero-capacity cache still counts its lookups, and stores nothing.
+  EXPECT_EQ(server.cache_stats().misses, 2u);
+  EXPECT_EQ(server.cache_stats().insertions, 0u);
 }
 
 TEST(AlignmentServer, DuplicatesWithinABatchRunOnce) {
   ServerConfig config = small_config();
   config.shards = 1;
-  config.enable_cache = false;  // isolate in-batch coalescing from caching
+  config.cache_max_entries = 0;  // isolate in-batch coalescing from caching
   AlignmentServer server(config, /*start_paused=*/true);
 
   const auto c = make_case_of_kind(11, CaseKind::kPipeline);
@@ -195,7 +198,7 @@ TEST(AlignmentServer, DuplicatesWithinABatchRunOnce) {
 TEST(AlignmentServer, ShardsAccrueModeledTime) {
   ServerConfig config = small_config();
   config.shards = 2;
-  config.enable_cache = false;
+  config.cache_max_entries = 0;
   AlignmentServer server(config);
   std::vector<std::future<AlignResult>> futures;
   for (std::uint64_t seed : {11ull, 202ull, 12ull, 13ull}) {

@@ -111,7 +111,7 @@ TEST(StatsSnapshot, ProfilerAddsCumulativeKernelTotals) {
   gpusim::ProfilerSession session;
   gpusim::ScopedProfiler profiler(session);
   ServerConfig config = small_config();
-  config.enable_cache = false;
+  config.cache_max_entries = 0;
   AlignmentServer server(config);
   server.submit(request_from(make_case_of_kind(11, CaseKind::kPipeline))).get();
 

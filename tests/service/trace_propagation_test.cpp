@@ -135,8 +135,8 @@ TEST(TracePropagation, ConcurrentBatchesKeepDistinctBatchIds) {
   telemetry::ScopedEnable scoped;
   reset_telemetry();
   ServerConfig config = small_config();
-  config.enable_batching = false;  // one batch per request: ids must differ
-  config.enable_cache = false;
+  config.batch_max = 1;  // one batch per request: ids must differ
+  config.cache_max_entries = 0;
   config.shards = 2;
   AlignmentServer server(config);
 
@@ -175,7 +175,7 @@ TEST(TracePropagation, CoalescedDuplicatesGetLinkedSpans) {
   telemetry::ScopedEnable scoped;
   reset_telemetry();
   ServerConfig config = small_config();
-  config.enable_cache = false;  // isolate in-batch coalescing
+  config.cache_max_entries = 0;  // isolate in-batch coalescing
   AlignmentServer server(config, /*start_paused=*/true);
   const auto c = make_case_of_kind(11, CaseKind::kPipeline);
   auto f1 = server.submit(request_from(c));
@@ -254,7 +254,7 @@ TEST(TracePropagation, KernelLaunchesCarryBatchAndRequestIds) {
   gpusim::ProfilerSession session;
   gpusim::ScopedProfiler profiler(session);
   ServerConfig config = small_config();
-  config.enable_cache = false;
+  config.cache_max_entries = 0;
   AlignmentServer server(config, /*start_paused=*/true);
   auto f1 = server.submit(request_from(make_case_of_kind(11, CaseKind::kPipeline)));
   auto f2 = server.submit(request_from(make_case_of_kind(202, CaseKind::kPipeline)));

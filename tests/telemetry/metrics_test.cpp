@@ -33,65 +33,6 @@ TEST(Counter, ConcurrentIncrementsAreLossless) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(LogHistogram, BucketsByBitWidth) {
-  LogHistogram h;
-  h.record(0);  // bucket 0
-  h.record(1);  // bucket 1
-  h.record(2);  // bucket 2
-  h.record(3);  // bucket 2
-  h.record(4);  // bucket 3
-  h.record(7);  // bucket 3
-  h.record(1024);  // bucket 11
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(2), 2u);
-  EXPECT_EQ(h.bucket_count(3), 2u);
-  EXPECT_EQ(h.bucket_count(11), 1u);
-  EXPECT_EQ(h.count(), 7u);
-  EXPECT_EQ(h.sum(), 0u + 1 + 2 + 3 + 4 + 7 + 1024);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 1024u);
-  EXPECT_DOUBLE_EQ(h.mean(), 1041.0 / 7.0);
-}
-
-TEST(LogHistogram, BucketRanges) {
-  EXPECT_EQ(LogHistogram::bucket_lower(0), 0u);
-  EXPECT_EQ(LogHistogram::bucket_upper(0), 0u);
-  EXPECT_EQ(LogHistogram::bucket_lower(1), 1u);
-  EXPECT_EQ(LogHistogram::bucket_upper(1), 1u);
-  EXPECT_EQ(LogHistogram::bucket_lower(4), 8u);
-  EXPECT_EQ(LogHistogram::bucket_upper(4), 15u);
-  EXPECT_EQ(LogHistogram::bucket_upper(64), UINT64_MAX);
-}
-
-TEST(LogHistogram, PercentileUpperBound) {
-  LogHistogram h;
-  EXPECT_EQ(h.percentile_upper_bound(50.0), 0u);  // empty
-  for (int i = 0; i < 99; ++i) h.record(1);
-  h.record(1000);  // bucket 10 (upper 1023)
-  EXPECT_EQ(h.percentile_upper_bound(50.0), 1u);
-  EXPECT_EQ(h.percentile_upper_bound(100.0), 1023u);
-}
-
-TEST(LogHistogram, ConcurrentRecordsAreLossless) {
-  LogHistogram h;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 50000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&h, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        h.record(static_cast<std::uint64_t>(t) * 1000 + 5);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.min(), 5u);
-  EXPECT_EQ(h.max(), 7005u);
-}
-
 TEST(MetricsRegistry, CounterIdentityByName) {
   MetricsRegistry reg;
   Counter& a = reg.counter("x");
@@ -114,17 +55,17 @@ TEST(MetricsRegistry, ConcurrentRegistrationAndIncrement) {
     threads.emplace_back([&reg] {
       // Every thread resolves the same names; creation must race safely.
       Counter& c = reg.counter("shared.counter");
-      LogHistogram& h = reg.histogram("shared.histogram");
+      QuantileSketch& q = reg.sketch("shared.sketch");
       for (int i = 0; i < kPerThread; ++i) {
         c.add();
-        h.record(static_cast<std::uint64_t>(i));
+        q.record(static_cast<std::uint64_t>(i));
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(reg.counter("shared.counter").value(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(reg.histogram("shared.histogram").count(),
+  EXPECT_EQ(reg.sketch("shared.sketch").count(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
@@ -132,28 +73,31 @@ TEST(MetricsRegistry, SnapshotsAreSortedAndComplete) {
   MetricsRegistry reg;
   reg.counter("b").add(2);
   reg.counter("a").add(1);
-  reg.histogram("h").record(10);
+  reg.sketch("s").record(10);
   const auto counters = reg.counter_snapshot();
   ASSERT_EQ(counters.size(), 2u);
   EXPECT_EQ(counters[0].first, "a");
   EXPECT_EQ(counters[0].second, 1u);
   EXPECT_EQ(counters[1].first, "b");
-  const auto hists = reg.histogram_snapshot();
-  ASSERT_EQ(hists.size(), 1u);
-  EXPECT_EQ(hists[0].second.count, 1u);
-  EXPECT_EQ(hists[0].second.max, 10u);
+  const auto sketches = reg.sketch_snapshot();
+  ASSERT_EQ(sketches.size(), 1u);
+  EXPECT_EQ(sketches[0].first, "s");
+  EXPECT_EQ(sketches[0].second.count, 1u);
+  EXPECT_EQ(sketches[0].second.max, 10u);
 }
 
 TEST(MetricsRegistry, ResetValuesKeepsRegistrations) {
   MetricsRegistry reg;
   Counter& c = reg.counter("c");
   c.add(5);
-  reg.histogram("h").record(9);
+  QuantileSketch& q = reg.sketch("s");
+  q.record(9);
   reg.reset_values();
-  EXPECT_EQ(c.value(), 0u);  // cached pointer survives
-  EXPECT_EQ(reg.histogram("h").count(), 0u);
+  EXPECT_EQ(c.value(), 0u);  // cached pointers survive
+  EXPECT_EQ(q.count(), 0u);
+  EXPECT_EQ(&reg.sketch("s"), &q);
   EXPECT_EQ(reg.counter_count(), 1u);
-  EXPECT_EQ(reg.histogram_count(), 1u);
+  EXPECT_EQ(reg.sketch_snapshot().size(), 1u);
 }
 
 }  // namespace
