@@ -18,8 +18,11 @@ struct SideExecution {
   bool truncated = false;
 };
 
+// `geometry` records the row bounds that strip_geometry_from_bounds turns
+// into the side's warp-strip geometry. The executor's modeled cost needs
+// it; the eager tile uses only the ops, so it skips both.
 SideExecution execute_side(SeqView a, SeqView b, const BestCell& target,
-                           const ScoreParams& params, const FastzConfig& config,
+                           const ScoreParams& params, bool trimming, bool geometry,
                            const OneSidedOptions& limits) {
   SideExecution side;
   if (target.i == 0 && target.j == 0) return side;  // nothing to trace
@@ -27,11 +30,11 @@ SideExecution execute_side(SeqView a, SeqView b, const BestCell& target,
   OneSidedOptions opts = limits;
   opts.prune = PruneMode::kConservative;
   opts.want_traceback = true;
-  opts.record_row_bounds = true;
+  opts.record_row_bounds = geometry;
   // Trimming: confine the DP to the optimal rectangle. Untrimmed (the
   // Figure 9 ablation point), the executor re-runs the full search space
   // with traceback, exactly like a one-pass implementation would.
-  if (config.executor_trimming) {
+  if (trimming) {
     opts.max_rows = target.i;
     opts.max_cols = target.j;
   }
@@ -68,22 +71,21 @@ SideExecution execute_side(SeqView a, SeqView b, const BestCell& target,
   return side;
 }
 
-}  // namespace
-
-ExecutorOutcome execute_seed(const Sequence& a, const Sequence& b,
-                             const SeedInspection& inspection, const ScoreParams& params,
-                             const FastzConfig& config, const OneSidedOptions& limits) {
+ExecutorOutcome execute(const Sequence& a, const Sequence& b,
+                        const SeedInspection& inspection, const ScoreParams& params,
+                        bool trimming, bool geometry, const OneSidedOptions& limits) {
   ExecutorOutcome out;
 
   const auto a_codes = a.codes();
   const auto b_codes = b.codes();
   SideExecution left = execute_side(reverse_view(a_codes, inspection.anchor_a),
                                     reverse_view(b_codes, inspection.anchor_b),
-                                    inspection.left.best, params, config, limits);
+                                    inspection.left.best, params, trimming, geometry,
+                                    limits);
   SideExecution right = execute_side(
       forward_view(a_codes, inspection.anchor_a, a.size()),
       forward_view(b_codes, inspection.anchor_b, b.size()),
-      inspection.right.best, params, config, limits);
+      inspection.right.best, params, trimming, geometry, limits);
 
   Alignment& aln = out.alignment;
   aln.score = inspection.score;
@@ -106,6 +108,22 @@ ExecutorOutcome execute_seed(const Sequence& a, const Sequence& b,
   out.hirschberg = left.hirschberg || right.hirschberg;
   out.truncated = left.truncated || right.truncated;
   return out;
+}
+
+}  // namespace
+
+ExecutorOutcome execute_seed(const Sequence& a, const Sequence& b,
+                             const SeedInspection& inspection, const ScoreParams& params,
+                             const FastzConfig& config, const OneSidedOptions& limits) {
+  return execute(a, b, inspection, params, config.executor_trimming, /*geometry=*/true,
+                 limits);
+}
+
+Alignment trace_eager_tile(const Sequence& a, const Sequence& b,
+                           const SeedInspection& inspection, const ScoreParams& params,
+                           const OneSidedOptions& limits) {
+  return execute(a, b, inspection, params, /*trimming=*/true, /*geometry=*/false, limits)
+      .alignment;
 }
 
 }  // namespace fastz

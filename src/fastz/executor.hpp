@@ -55,4 +55,11 @@ ExecutorOutcome execute_seed(const Sequence& a, const Sequence& b,
                              const FastzConfig& config,
                              const OneSidedOptions& limits = {});
 
+// The eager tile's traceback: the trimmed executor's alignment for
+// `inspection`, without the row bounds and strip geometry that only the
+// executor's modeled cost reads. Same ops as execute_seed with trimming on.
+Alignment trace_eager_tile(const Sequence& a, const Sequence& b,
+                           const SeedInspection& inspection, const ScoreParams& params,
+                           const OneSidedOptions& limits = {});
+
 }  // namespace fastz

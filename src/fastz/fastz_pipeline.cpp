@@ -12,7 +12,6 @@
 #include "telemetry/trace.hpp"
 #include "util/digest.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace fastz {
 
@@ -267,7 +266,6 @@ FastzStudy::FastzStudy(const Sequence& a, const Sequence& b, const ScoreParams& 
 std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchItem>& items,
                                              std::size_t threads) {
   telemetry::TraceSpan pass_span("fastz.functional_pass");
-  Timer wallclock;
   std::vector<FastzStudy> studies;
   studies.reserve(items.size());
   if (items.empty()) return studies;
@@ -354,8 +352,6 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
     studies[it].pass_assemble(items[it].options, executed[it]);
     studies[it].functional_threads_ = workers;
   }
-  const double elapsed = wallclock.elapsed_s();
-  for (FastzStudy& study : studies) study.functional_wallclock_s_ = elapsed;
   return studies;
 }
 
@@ -642,16 +638,6 @@ FastzRun FastzStudy::derive(const FastzConfig& config, const gpusim::DeviceSpec&
                         static_cast<double>(copy_bytes) / (device.pcie_bandwidth_gbps * 1e9);
   if (telemetry::enabled()) record_derive(run, recs, hb_slot + 1);
   if (prof != nullptr) prof->note_seeds(run.seeds, run.eager_handled);
-  return run;
-}
-
-FastzRun run_fastz(const Sequence& a, const Sequence& b, const ScoreParams& params,
-                   const PipelineOptions& base, const FastzConfig& config,
-                   const gpusim::DeviceSpec& device,
-                   std::vector<Alignment>* alignments_out) {
-  const FastzStudy study(a, b, params, base);
-  FastzRun run = study.derive(config, device);
-  if (alignments_out != nullptr) *alignments_out = study.alignments();
   return run;
 }
 

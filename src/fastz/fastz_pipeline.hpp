@@ -101,7 +101,7 @@ struct FunctionalBatchItem {
 // running each item as a batch of its own, which is what the per-pair
 // `FastzStudy(a, b, params, options)` constructor does (pinned by
 // tests/fastz/batch_pass_test.cpp). This is the entry point the alignment
-// service's micro-batcher dispatches to (see docs/SERVICE.md).
+// service's shard workers run each micro-batch through (docs/SERVICE.md).
 //
 // `threads` resolves like PipelineOptions::threads (0 = auto via
 // FASTZ_THREADS, then hardware_concurrency) and applies to the whole
@@ -139,7 +139,6 @@ class FastzStudy {
   std::uint64_t inspector_cells() const noexcept { return inspector_cells_; }
   // Census with the paper's default tile/bin boundaries.
   BinCensus census() const;
-  double functional_wallclock_s() const noexcept { return functional_wallclock_s_; }
   // Worker threads the functional pass actually ran with (after resolving
   // base.threads == 0 via FASTZ_THREADS / hardware_concurrency and clamping
   // to the seed count). Results are identical for every value.
@@ -171,13 +170,6 @@ class FastzStudy {
   std::uint64_t inspector_cells_ = 0;
   std::uint64_t sequence_bytes_ = 0;
   std::size_t functional_threads_ = 1;
-  double functional_wallclock_s_ = 0.0;
 };
-
-// Convenience wrapper: functional pass + derivation in one call.
-FastzRun run_fastz(const Sequence& a, const Sequence& b, const ScoreParams& params,
-                   const PipelineOptions& base, const FastzConfig& config,
-                   const gpusim::DeviceSpec& device,
-                   std::vector<Alignment>* alignments_out = nullptr);
 
 }  // namespace fastz

@@ -92,9 +92,7 @@ SeedInspection inspect_seed(const Sequence& a, const Sequence& b, const SeedHit&
     // [0..i*] x [0..j*], walked from the inspector's optimal cell (in the
     // real kernel these codes were recorded in shared memory during the
     // search; recomputing the rectangle yields the identical codes).
-    FastzConfig trimmed = config;
-    trimmed.executor_trimming = true;
-    out.alignment = execute_seed(a, b, out, params, trimmed, limits).alignment;
+    out.alignment = trace_eager_tile(a, b, out, params, limits);
   }
   return out;
 }

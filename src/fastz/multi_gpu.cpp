@@ -14,12 +14,6 @@ ShardSet::ShardSet(std::size_t count, const DeviceSpec& spec) : spec_(spec) {
   busy_s_.resize(count, 0.0);
 }
 
-std::size_t ShardSet::acquire() const {
-  std::lock_guard lock(mutex_);
-  return static_cast<std::size_t>(
-      std::min_element(busy_s_.begin(), busy_s_.end()) - busy_s_.begin());
-}
-
 void ShardSet::charge(std::size_t shard, double modeled_s) {
   std::lock_guard lock(mutex_);
   busy_s_.at(shard) += modeled_s;

@@ -22,13 +22,12 @@
 namespace fastz::gpusim {
 
 // A fleet of identical virtual GPUs with per-shard modeled-busy-time
-// accounting — the dispatch substrate the alignment service's workers run
-// on (docs/SERVICE.md). `acquire()` picks the least-busy shard (lowest
-// index on ties, so dispatch order is deterministic for equal loads) and
-// `charge()` books the modeled seconds a batch consumed on it. All
-// methods are thread-safe; the busy times are modeled device time, not
-// wallclock, so accounting is deterministic under any thread schedule
-// once per-shard charge sequences are fixed.
+// accounting — the alignment service's worker s runs its batches on shard
+// s (docs/SERVICE.md), and `charge()` books the modeled seconds each batch
+// consumed there. Placement is not this class's job: a batch goes to
+// whichever worker is free. All methods are thread-safe; the busy times
+// are modeled device time, not wallclock, so accounting is deterministic
+// under any thread schedule once per-shard charge sequences are fixed.
 class ShardSet {
  public:
   // `count` must be >= 1 (throws std::invalid_argument otherwise).
@@ -37,8 +36,6 @@ class ShardSet {
   std::size_t size() const noexcept { return busy_s_.size(); }
   const DeviceSpec& spec() const noexcept { return spec_; }
 
-  // Least-modeled-busy shard; ties break to the lowest index.
-  std::size_t acquire() const;
   // Books `modeled_s` seconds of device time on `shard`.
   void charge(std::size_t shard, double modeled_s);
 

@@ -1,8 +1,5 @@
 #include "multicore/multicore_lastz.hpp"
 
-#include <algorithm>
-#include <atomic>
-
 #include "align/extension.hpp"
 #include "telemetry/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -41,8 +38,8 @@ MulticoreResult run_multicore_lastz(const Sequence& a, const Sequence& b,
   result.threads_used = pool.size();
 
   // Per-seed outcome slots keep the output in seed order regardless of the
-  // schedule, making static and dynamic runs (and the sequential pipeline)
-  // produce identical alignment lists.
+  // partitioning, so every thread count (and the sequential pipeline)
+  // produces an identical alignment list.
   std::vector<SeedOutcome> outcomes(hits.size());
 
   auto process = [&](std::size_t k) {
@@ -55,28 +52,8 @@ MulticoreResult run_multicore_lastz(const Sequence& a, const Sequence& b,
     }
   };
 
-  if (mc.dynamic_schedule) {
-    // Work stealing: workers claim chunks from a shared cursor.
-    std::atomic<std::size_t> cursor{0};
-    const std::size_t chunk = std::max<std::size_t>(1, mc.chunk);
-    std::vector<std::future<void>> workers;
-    workers.reserve(pool.size());
-    for (std::size_t w = 0; w < pool.size(); ++w) {
-      workers.push_back(pool.submit([&] {
-        telemetry::TraceSpan worker_span("multicore.worker", "pool");
-        for (;;) {
-          const std::size_t begin = cursor.fetch_add(chunk);
-          if (begin >= outcomes.size()) return;
-          const std::size_t end = std::min(outcomes.size(), begin + chunk);
-          for (std::size_t k = begin; k < end; ++k) process(k);
-        }
-      }));
-    }
-    for (auto& w : workers) w.get();
-  } else {
-    // Static contiguous partitions — the paper's multi-process scheme.
-    pool.parallel_for(outcomes.size(), process);
-  }
+  // Static contiguous partitions — the paper's multi-process scheme.
+  pool.parallel_for(outcomes.size(), process);
 
   for (SeedOutcome& outcome : outcomes) {
     result.counters.dp_cells += outcome.cells;

@@ -2,15 +2,10 @@
 //
 // The paper's multicore comparison point (Section 3.4) partitions the seed
 // list across processes, each running the default sequential DP on its
-// partition. Here partitions run on a thread pool; results are concatenated
-// in seed order so the output is bit-identical to the sequential pipeline
-// regardless of thread count or schedule (verified by tests).
-//
-// Two schedules are provided:
-//   * static (the paper's scheme): one contiguous partition per worker;
-//   * dynamic: workers claim fixed-size seed chunks from a shared counter
-//     (work stealing), which smooths the load imbalance long alignments
-//     cause in static partitions.
+// partition. Here the partitions are one contiguous seed range per worker
+// of a thread pool (ThreadPool::parallel_for); results are concatenated in
+// seed order so the output is bit-identical to the sequential pipeline
+// regardless of thread count (verified by tests).
 //
 // FastZ's GPU innovations deliberately do not apply here (Section 3.4):
 // no slow device-side allocation to motivate inspector-executor, too few
@@ -34,8 +29,6 @@ namespace fastz {
 struct MulticoreOptions {
   std::size_t threads = 0;           // 0 = hardware concurrency
   std::uint32_t model_processes = 32;  // workers in the analytic model
-  bool dynamic_schedule = false;     // work-stealing instead of static parts
-  std::size_t chunk = 16;            // seeds per dynamic work item
 };
 
 struct MulticoreResult {

@@ -1,8 +1,5 @@
 #include "service/result_cache.hpp"
 
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
-
 namespace fastz::service {
 
 std::size_t outcome_bytes(const AlignOutcome& outcome) {
@@ -21,16 +18,10 @@ std::optional<AlignOutcome> ResultCache::get(const Digest128& key) {
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    if (telemetry::enabled()) {
-      telemetry::MetricsRegistry::global().counter("service.cache.misses").add(1);
-    }
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   ++stats_.hits;
-  if (telemetry::enabled()) {
-    telemetry::MetricsRegistry::global().counter("service.cache.hits").add(1);
-  }
   return it->second->second;
 }
 
@@ -49,11 +40,6 @@ void ResultCache::put(const Digest128& key, AlignOutcome outcome) {
   index_.emplace(key, lru_.begin());
   stats_.bytes += bytes;
   ++stats_.insertions;
-  if (telemetry::enabled()) {
-    telemetry::MetricsRegistry::global()
-        .counter("service.cache.inserted_bytes")
-        .add(bytes);
-  }
   evict_locked();
   stats_.entries = lru_.size();
 }
@@ -66,9 +52,6 @@ void ResultCache::evict_locked() {
     index_.erase(victim.first);
     lru_.pop_back();
     ++stats_.evictions;
-    if (telemetry::enabled()) {
-      telemetry::MetricsRegistry::global().counter("service.cache.evictions").add(1);
-    }
   }
 }
 

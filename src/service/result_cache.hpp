@@ -5,9 +5,8 @@
 // scoring field — y-drop included — produces a different key and never
 // aliases. Capacity is bounded both by entry count and by an estimated
 // payload byte total; eviction is strict LRU (get() refreshes recency).
-// All methods are thread-safe; hit/miss/eviction/byte telemetry is kept
-// locally (stats()) and mirrored to service.cache.* registry counters
-// when telemetry is enabled (docs/TELEMETRY.md).
+// All methods are thread-safe; stats() is the cache's one count of hits,
+// misses, insertions and evictions (docs/TELEMETRY.md).
 #pragma once
 
 #include <cstddef>

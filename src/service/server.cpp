@@ -26,11 +26,6 @@ AlignmentServer::AlignmentServer(ServerConfig config, bool start_paused)
   }
   paused_ = start_paused;
   const std::size_t n = shards_.size();
-  shard_queues_.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    shard_queues_.push_back(std::make_unique<ShardQueue>());
-  }
-  batcher_ = std::thread([this] { batcher_loop(); });
   workers_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
     workers_.emplace_back([this, s] { worker_loop(s); });
@@ -50,28 +45,16 @@ std::future<AlignResult> AlignmentServer::submit(AlignRequest request) {
   std::unique_lock lock(mutex_);
   if (stopping_) {
     lock.unlock();
-    shed_.fetch_add(1, std::memory_order_relaxed);
     shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
     flight.record(telemetry::FlightEventKind::kShedShutdown, rid);
-    if (telemetry::enabled()) {
-      auto& reg = telemetry::MetricsRegistry::global();
-      reg.counter("service.requests.shed").add(1);
-      reg.counter("service.requests.shed_shutdown").add(1);
-    }
     throw ShutdownError();
   }
   if (pending_.size() >= config_.queue_limit) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
     shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t depth = pending_.size();
     lock.unlock();
     flight.record(telemetry::FlightEventKind::kShedQueueFull, rid, Digest128{},
                   depth, config_.queue_limit);
-    if (telemetry::enabled()) {
-      auto& reg = telemetry::MetricsRegistry::global();
-      reg.counter("service.requests.shed").add(1);
-      reg.counter("service.requests.shed_queue_full").add(1);
-    }
     maybe_dump_postmortem("queue_full", postmortem_queue_full_);
     throw QueueFullError(depth, config_.queue_limit);
   }
@@ -90,11 +73,8 @@ std::future<AlignResult> AlignmentServer::submit(AlignRequest request) {
   while (depth > seen &&
          !max_queue_depth_.compare_exchange_weak(seen, depth, std::memory_order_relaxed)) {
   }
-  cv_batcher_.notify_one();
+  cv_.notify_one();
   flight.record(telemetry::FlightEventKind::kSubmit, rid, Digest128{}, depth);
-  if (telemetry::enabled()) {
-    telemetry::MetricsRegistry::global().counter("service.requests.accepted").add(1);
-  }
   return future;
 }
 
@@ -108,7 +88,7 @@ void AlignmentServer::resume() {
     std::lock_guard lock(mutex_);
     paused_ = false;
   }
-  cv_batcher_.notify_all();
+  cv_.notify_all();
 }
 
 std::size_t AlignmentServer::queue_depth() const {
@@ -119,12 +99,12 @@ std::size_t AlignmentServer::queue_depth() const {
 ServerStats AlignmentServer::stats() const {
   ServerStats s;
   s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
   s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
   s.shed_shutdown = shed_shutdown_.load(std::memory_order_relaxed);
+  s.shed = s.shed_queue_full + s.shed_shutdown;
   s.slo_breaches = slo_breaches_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  s.cache_hits = cache_.stats().hits;
   s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.pipeline_items = pipeline_items_.load(std::memory_order_relaxed);
@@ -137,18 +117,13 @@ void AlignmentServer::shutdown() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
   }
-  cv_batcher_.notify_all();
+  cv_.notify_all();
   {
     // Serialize concurrent shutdown() callers around the joins; joined_
-    // flips only after every thread is down.
+    // flips only after every thread is down. Workers drain the queue
+    // before they exit.
     std::lock_guard join_lock(join_mutex_);
     if (joined_) return;
-    if (batcher_.joinable()) batcher_.join();
-    for (auto& queue : shard_queues_) {
-      std::lock_guard qlock(queue->mutex);
-      queue->stopping = true;
-      queue->cv.notify_all();
-    }
     for (auto& worker : workers_) {
       if (worker.joinable()) worker.join();
     }
@@ -177,22 +152,24 @@ void AlignmentServer::maybe_dump_postmortem(const char* cause,
       config_.postmortem_path + "." + cause + ".json", cause);
 }
 
-void AlignmentServer::batcher_loop() {
+void AlignmentServer::worker_loop(std::size_t shard) {
   std::unique_lock lock(mutex_);
   for (;;) {
-    cv_batcher_.wait(lock, [&] { return stopping_ || (!paused_ && !pending_.empty()); });
-    if (pending_.empty()) {
-      if (stopping_) return;  // drained
-      continue;
-    }
+    cv_.wait(lock, [&] {
+      return stopping_ || (!paused_ && !lingering_ && !pending_.empty());
+    });
+    if (pending_.empty()) return;  // stopping and drained
     // Linger: give concurrent arrivals batch_window_s (measured from the
-    // moment the batcher first sees work) to coalesce, up to batch_max.
-    // Draining at shutdown skips the window — latency no longer matters.
+    // moment this worker first sees work) to coalesce, up to batch_max.
+    // One worker lingers at a time, so batches form as one window after
+    // another. Draining at shutdown skips the window.
     if (!stopping_ && pending_.size() < config_.batch_max) {
-      cv_batcher_.wait_for(
-          lock, std::chrono::duration<double>(config_.batch_window_s),
-          [&] { return stopping_ || pending_.size() >= config_.batch_max; });
+      lingering_ = true;
+      cv_.wait_for(lock, std::chrono::duration<double>(config_.batch_window_s),
+                   [&] { return stopping_ || pending_.size() >= config_.batch_max; });
+      lingering_ = false;
       if (paused_ && !stopping_) continue;  // paused mid-linger: hold the queue
+      if (pending_.empty()) continue;       // the shutdown drain took it
     }
     const std::size_t take = std::min(config_.batch_max, pending_.size());
     Batch batch;
@@ -201,39 +178,21 @@ void AlignmentServer::batcher_loop() {
       batch.push_back(std::move(pending_.front()));
       pending_.pop_front();
     }
+    // Whatever is left is for another free worker: this one is busy until
+    // its batch is answered.
+    const bool leftover = !pending_.empty();
     lock.unlock();
+    if (leftover) cv_.notify_one();
 
     // Seal the batch under one freshly-minted batch id: every member's
     // spans, flight events, and kernel launches carry it from here on.
     const Digest128 batch_id = telemetry::mint_batch_id();
     for (Pending& p : batch) p.trace.batch_id = batch_id;
-
-    const std::size_t shard = shards_.acquire();  // least-modeled-busy
     telemetry::FlightRecorder::global().record(
         telemetry::FlightEventKind::kBatchDispatch, Digest128{}, batch_id,
         batch.size(), shard);
-    {
-      ShardQueue& queue = *shard_queues_[shard];
-      std::lock_guard qlock(queue.mutex);
-      queue.batches.push_back(std::move(batch));
-      queue.cv.notify_one();
-    }
-    lock.lock();
-  }
-}
-
-void AlignmentServer::worker_loop(std::size_t shard) {
-  ShardQueue& queue = *shard_queues_[shard];
-  for (;;) {
-    Batch batch;
-    {
-      std::unique_lock lock(queue.mutex);
-      queue.cv.wait(lock, [&] { return queue.stopping || !queue.batches.empty(); });
-      if (queue.batches.empty()) return;  // stopping and drained
-      batch = std::move(queue.batches.front());
-      queue.batches.pop_front();
-    }
     process_batch(shard, std::move(batch));
+    lock.lock();
   }
 }
 
@@ -247,7 +206,6 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
   const Digest128 batch_id =
       batch.empty() ? Digest128{} : batch.front().trace.batch_id;
   const std::string batch_hex = telemetry::trace_id_hex(batch_id);
-  if (telem) reg.counter("service.batches").add(1);
 
   // Request-lifecycle spans live on their own trace process (pid 3, one of
   // a few dozen lanes keyed by the request counter) so the per-request
@@ -257,7 +215,7 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
   };
   if (telem) {
     // Retro-recorded queue-wait spans: submit to the start of processing
-    // (the batcher linger included — that is the point of the span).
+    // (the worker's linger included — that is the point of the span).
     for (const Pending& p : batch) {
       const double wait_us = batch_start_us - p.submitted_us;
       reg.sketch("service.latency.queue_wait_ns")
@@ -294,7 +252,6 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
           telemetry::FlightEventKind::kSloBreach, p.trace.request_id, batch_id,
           latency_ns,
           static_cast<std::uint64_t>(config_.latency_objective_s * 1e9));
-      if (telem) reg.counter("service.slo.breaches").add(1);
       maybe_dump_postmortem("slo_breach", postmortem_slo_);
     }
     if (telem) {
@@ -344,7 +301,6 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
         result.outcome = std::move(*hit);
         result.shard = static_cast<std::uint32_t>(shard);
         result.cache_hit = true;
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
         finish(batch[i], std::move(result), /*cache_hit=*/true, {});
         fulfilled[i] = true;
         continue;
@@ -375,9 +331,6 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
     pipeline_items_.fetch_add(items.size(), std::memory_order_relaxed);
     flight.record(telemetry::FlightEventKind::kPipelineRun, Digest128{},
                   batch_id, items.size(), shard);
-    if (telem) {
-      reg.counter("service.pipeline.items").add(items.size());
-    }
     std::vector<FastzStudy> studies;
     {
       telemetry::TraceContext batch_ctx;
@@ -439,7 +392,6 @@ void AlignmentServer::process_batch(std::size_t shard, Batch batch) {
         flight.record(telemetry::FlightEventKind::kCoalesced,
                       batch[i].trace.request_id, batch_id, 0, shard);
         if (telem) {
-          reg.counter("service.coalesced").add(1);
           owner_flow =
               "coal:" +
               telemetry::trace_id_hex(batch[unique[u]].trace.request_id);

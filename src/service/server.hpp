@@ -1,37 +1,42 @@
-// Long-lived alignment server: bounded admission queue, micro-batcher,
-// content-addressed result cache, and sharded virtual-GPU workers.
+// Long-lived alignment server: one bounded admission queue, shard workers
+// that seal their own micro-batches, and a content-addressed result cache.
 //
 // Request flow (docs/SERVICE.md has the full architecture):
 //
-//   submit() ──bounded queue──> batcher thread ──batch──> shard worker
-//                                                          │
-//                        cache hit ── ResultCache ─────────┤
-//                        coalesce duplicates               │
-//                        run_functional_batch (ONE pass)   │
-//                        derive() on the shard's vGPU ─────┘
+//   submit() ──> bounded queue ──> shard worker 0..shards-1 (the first free
+//                                  one lingers, seals a batch, runs it)
+//                                    │ cache hit ── ResultCache
+//                                    │ coalesce duplicates
+//                                    │ run_functional_batch (ONE pass)
+//                                    └ derive() on the worker's own vGPU
 //
-// - Admission control: submit() throws QueueFullError once the pending
-//   queue holds queue_limit requests (the caller sheds; nothing blocks).
-// - Micro-batching: the batcher coalesces up to batch_max requests that
-//   arrive within batch_window_s of the first waiting request into ONE
-//   run_functional_batch call — one seed-index build per distinct target,
-//   one worker sweep, one dispatch round-trip. batch_max = 1 dispatches
-//   each request alone with no linger (the A/B baseline the bench
-//   compares against); results are bit-identical either way.
+// - Admission control: submit() throws QueueFullError once the queue holds
+//   queue_limit requests (the caller sheds; nothing blocks). Each worker
+//   holds at most one batch, so the server never has more than
+//   queue_limit + shards * batch_max accepted-but-unanswered requests.
+// - Micro-batching: a free worker lingers batch_window_s from when it
+//   first sees work (less if batch_max requests are already waiting), then
+//   takes up to batch_max requests as ONE run_functional_batch call — one
+//   seed-index build per distinct target, one pass sweep. Only one worker
+//   lingers at a time, so batch windows follow one another and never
+//   overlap. batch_max = 1 takes each request alone with no linger
+//   (the A/B baseline the bench compares against); results are
+//   bit-identical either way.
 // - Caching: answers repeat keys (request_key) from the ResultCache
 //   without touching the pipeline; per-batch duplicates run once.
 //   cache_max_entries = 0 (or cache_max_bytes = 0) turns the cache off:
 //   every lookup misses and is counted as a miss.
-// - Sharding: shards worker threads each own one virtual GPU; batches go
-//   to the least-modeled-busy shard (gpusim::ShardSet), which is charged
-//   the derived device seconds of the work it serves.
+// - Sharding: worker s owns virtual GPU s of the gpusim::ShardSet and is
+//   charged the derived device seconds of every batch it runs. A batch
+//   goes to whichever worker is free, never behind a busy one.
 //
 // Thread-safety: every public method may be called from any thread. The
 // returned futures become ready from worker threads; a request whose
 // processing throws carries the exception through its future. shutdown()
 // (and the destructor) stop admission, drain everything already accepted,
-// and join all threads. pause()/resume() freeze the batcher so tests can
-// stage a known queue and then observe exactly one coalesced dispatch.
+// and join all threads. While paused no batch starts (a worker that was
+// lingering puts its queue back), so tests can stage a known queue and
+// then observe exactly one coalesced dispatch after resume().
 #pragma once
 
 #include <atomic>
@@ -40,7 +45,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -77,8 +81,8 @@ struct ServerConfig {
   gpusim::DeviceSpec device = gpusim::titan_x_pascal();  // per-shard vGPU
 };
 
-// Monotonic service counters (snapshot; see also service.* registry
-// metrics in docs/TELEMETRY.md).
+// Monotonic service counters (snapshot): the service's one count of each
+// event (docs/TELEMETRY.md). The registry holds only latency sketches.
 struct ServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t shed = 0;          // admission rejections, every cause
@@ -86,7 +90,7 @@ struct ServerStats {
   std::uint64_t shed_shutdown = 0;    // submitted after shutdown() began
   std::uint64_t slo_breaches = 0;  // completions over latency_objective_s
   std::uint64_t completed = 0;     // futures fulfilled (errors included)
-  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_hits = 0;    // = cache_stats().hits
   std::uint64_t coalesced = 0;     // in-batch duplicates served by one run
   std::uint64_t batches = 0;       // run_functional_batch dispatches
   std::uint64_t pipeline_items = 0;  // items actually run (misses, deduped)
@@ -95,7 +99,7 @@ struct ServerStats {
 
 class AlignmentServer {
  public:
-  // `start_paused = true` keeps the batcher from dispatching until
+  // `start_paused = true` keeps every worker from starting a batch until
   // resume() — deterministic tests stage a queue first.
   explicit AlignmentServer(ServerConfig config, bool start_paused = false);
   ~AlignmentServer();
@@ -127,13 +131,14 @@ class AlignmentServer {
     Digest128 key;
     std::promise<AlignResult> promise;
     telemetry::TraceContext trace;  // request id minted at submit; batch id
-                                    // stamped when the batcher seals a batch
+                                    // stamped when a worker seals a batch
     double submitted_us = 0.0;      // TraceRecorder clock, for retro spans
                                     // and latency accounting
   };
   using Batch = std::vector<Pending>;
 
-  void batcher_loop();
+  // Waits on the admission queue, lingers, seals a batch and runs it on
+  // `shard`, until shutdown has drained the queue.
   void worker_loop(std::size_t shard);
   void process_batch(std::size_t shard, Batch batch);
   // First-occurrence-per-cause flight-recorder dump (no-op without
@@ -144,28 +149,19 @@ class AlignmentServer {
   ResultCache cache_;
   gpusim::ShardSet shards_;
 
-  mutable std::mutex mutex_;               // pending queue + batcher state
-  std::condition_variable cv_batcher_;
+  mutable std::mutex mutex_;  // guards pending_ and the three flags below
+  std::condition_variable cv_;  // workers wait here for work or shutdown
   std::deque<Pending> pending_;
   bool paused_ = false;
   bool stopping_ = false;
-
-  struct ShardQueue {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Batch> batches;
-    bool stopping = false;
-  };
-  std::vector<std::unique_ptr<ShardQueue>> shard_queues_;
+  bool lingering_ = false;  // a worker is in its batch window
 
   // Monotonic counters; workers bump them without taking mutex_.
   std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> shed_queue_full_{0};
   std::atomic<std::uint64_t> shed_shutdown_{0};
   std::atomic<std::uint64_t> slo_breaches_{0};
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> pipeline_items_{0};
@@ -174,7 +170,6 @@ class AlignmentServer {
   std::atomic<bool> postmortem_queue_full_{false};
   std::atomic<bool> postmortem_slo_{false};
 
-  std::thread batcher_;
   std::vector<std::thread> workers_;
   std::mutex join_mutex_;  // serializes concurrent shutdown() callers
   bool joined_ = false;    // guarded by join_mutex_

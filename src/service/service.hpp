@@ -4,9 +4,9 @@
 //
 // The service wraps the FastZ functional pass behind a long-lived server
 // (see server.hpp and docs/SERVICE.md): a bounded request queue with
-// admission control, a micro-batcher that coalesces concurrent requests
-// into one run_functional_batch call, a content-addressed result cache,
-// and shard workers each owning a virtual GPU.
+// admission control, shard workers each owning a virtual GPU that pull
+// micro-batches from it (one run_functional_batch call per batch), and a
+// content-addressed result cache.
 #pragma once
 
 #include <cstddef>

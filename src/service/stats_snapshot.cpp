@@ -64,8 +64,8 @@ void write_stats_snapshot(std::ostream& out, const AlignmentServer& server,
   w.key("batches").begin_object();
   w.field("dispatched", stats.batches);
   w.field("pipeline_items", stats.pipeline_items);
-  // Mean requests answered per dispatch — the micro-batcher's coalescing
-  // win (1.0 = no batching benefit).
+  // Mean requests answered per batch — micro-batching's coalescing win
+  // (1.0 = no batching benefit).
   w.field("occupancy", stats.batches == 0
                            ? 0.0
                            : static_cast<double>(stats.completed) /

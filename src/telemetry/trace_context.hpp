@@ -2,7 +2,7 @@
 // down the stack via a thread-local.
 //
 // The alignment service mints a request id at AlignmentServer::submit and
-// a batch id when the micro-batcher seals a dispatch; every span, flight
+// a batch id when a shard worker seals a batch; every span, flight
 // recorder event, and virtual-GPU kernel launch downstream carries the
 // ids, so one merged Chrome trace shows a request's full life — queue
 // wait, batch linger, functional pass, per-bin executor launches, cache

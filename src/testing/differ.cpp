@@ -351,10 +351,9 @@ void diff_pipelines(DiffResult& out, const FuzzCase& c, InjectedBug bug, bool ex
   const PipelineResult lastz = run_lastz(c.a, c.b, c.params, c.pipeline);
 
   // Multicore must be bit-identical to sequential LASTZ regardless of
-  // schedule. The subject of injected bugs on the non-exact kind.
+  // partitioning. The subject of injected bugs on the non-exact kind.
   MulticoreOptions mc_opts;
   mc_opts.threads = 3;
-  mc_opts.dynamic_schedule = (c.seed % 2) == 1;
   const ScoreParams mc_params = exact ? c.params : subject_params(c, bug);
   MulticoreResult mc = run_multicore_lastz(c.a, c.b, mc_params, c.pipeline, mc_opts);
   if (!exact) tamper(mc.alignments, bug);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace fastz {
@@ -47,28 +46,6 @@ double percentile(std::vector<double> values, double p) {
   const auto hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
-Histogram::Histogram(std::vector<std::uint64_t> upper_edges)
-    : edges_(std::move(upper_edges)), counts_(edges_.size() + 1, 0) {
-  if (!std::is_sorted(edges_.begin(), edges_.end())) {
-    throw std::invalid_argument("Histogram: edges must be ascending");
-  }
-}
-
-void Histogram::add(std::uint64_t value) noexcept {
-  std::size_t bin = 0;
-  while (bin < edges_.size() && value > edges_[bin]) ++bin;
-  ++counts_[bin];
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.edges_ != edges_) throw std::invalid_argument("Histogram: edge mismatch");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-}
-
-std::uint64_t Histogram::total() const noexcept {
-  return std::accumulate(counts_.begin(), counts_.end(), std::uint64_t{0});
 }
 
 }  // namespace fastz

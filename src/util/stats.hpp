@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -39,24 +38,5 @@ double geometric_mean(std::span<const double> values);
 // p in [0, 100]; linear interpolation between order statistics.
 // Copies and sorts; intended for end-of-run reporting, not hot paths.
 double percentile(std::vector<double> values, double p);
-
-// Histogram with caller-supplied upper bin edges (values > last edge fall in
-// a final overflow bin). Used for alignment-length censuses (Table 2).
-class Histogram {
- public:
-  explicit Histogram(std::vector<std::uint64_t> upper_edges);
-
-  void add(std::uint64_t value) noexcept;
-  void merge(const Histogram& other);
-
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::uint64_t total() const noexcept;
-  const std::vector<std::uint64_t>& edges() const noexcept { return edges_; }
-
- private:
-  std::vector<std::uint64_t> edges_;   // ascending upper bounds (inclusive)
-  std::vector<std::uint64_t> counts_;  // edges_.size() + 1 (overflow)
-};
 
 }  // namespace fastz

@@ -311,17 +311,5 @@ TEST(FastzPipeline, ProfilerSeesTheHirschbergKernelSlot) {
   EXPECT_TRUE(saw_hirschberg);
 }
 
-TEST(FastzPipeline, RunFastzWrapperReturnsAlignments) {
-  PairModel model;
-  model.length_a = 25000;
-  model.segments = {{100.0, 250, 500, 0.9}};
-  const SyntheticPair pair = generate_pair(model, 9);
-  std::vector<Alignment> alignments;
-  const FastzRun run = run_fastz(pair.a, pair.b, test_ydrop_params(), {},
-                                 FastzConfig::full(), kAmpere, &alignments);
-  EXPECT_GT(run.seeds, 0u);
-  EXPECT_FALSE(alignments.empty());
-}
-
 }  // namespace
 }  // namespace fastz

@@ -69,27 +69,12 @@ TEST(ShardSet, RejectsEmptySet) {
   EXPECT_THROW(gpusim::ShardSet(0, gpusim::titan_x_pascal()), std::invalid_argument);
 }
 
-TEST(ShardSet, AcquirePicksLeastBusyWithStableTies) {
-  gpusim::ShardSet shards(3, gpusim::titan_x_pascal());
-  EXPECT_EQ(shards.size(), 3u);
-  // All idle: ties break to the lowest index, so dispatch is deterministic.
-  EXPECT_EQ(shards.acquire(), 0u);
-  shards.charge(0, 2.0);
-  EXPECT_EQ(shards.acquire(), 1u);
-  shards.charge(1, 1.0);
-  EXPECT_EQ(shards.acquire(), 2u);
-  shards.charge(2, 3.0);
-  // Busy: 0 -> 2.0, 1 -> 1.0, 2 -> 3.0.
-  EXPECT_EQ(shards.acquire(), 1u);
-  EXPECT_DOUBLE_EQ(shards.busy_s(0), 2.0);
-  EXPECT_DOUBLE_EQ(shards.total_busy_s(), 6.0);
-}
-
 TEST(ShardSet, ImbalanceIsMaxOverMean) {
   gpusim::ShardSet shards(2, gpusim::titan_x_pascal());
   EXPECT_DOUBLE_EQ(shards.imbalance(), 0.0);  // idle fleet
   shards.charge(0, 1.0);
   shards.charge(1, 3.0);
+  EXPECT_DOUBLE_EQ(shards.busy_s(1), 3.0);
   EXPECT_DOUBLE_EQ(shards.imbalance(), 1.5);  // max 3 / mean 2
 }
 

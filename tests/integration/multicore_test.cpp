@@ -47,23 +47,6 @@ TEST(Multicore, MatchesSequentialOutput) {
   }
 }
 
-TEST(Multicore, DynamicScheduleMatchesStatic) {
-  const SyntheticPair pair = make_pair(37);
-  const ScoreParams p = params();
-
-  MulticoreOptions static_mc;
-  static_mc.threads = 3;
-  MulticoreOptions dynamic_mc;
-  dynamic_mc.threads = 3;
-  dynamic_mc.dynamic_schedule = true;
-  dynamic_mc.chunk = 7;
-
-  const MulticoreResult s = run_multicore_lastz(pair.a, pair.b, p, {}, static_mc);
-  const MulticoreResult d = run_multicore_lastz(pair.a, pair.b, p, {}, dynamic_mc);
-  expect_same_alignments(s.alignments, d.alignments);
-  EXPECT_EQ(s.counters.dp_cells, d.counters.dp_cells);
-}
-
 TEST(Multicore, ModeledTimeIsFasterThanSequentialModel) {
   const SyntheticPair pair = make_pair(33);
   MulticoreOptions mc;

@@ -2,9 +2,9 @@
 // typed admission control, micro-batch coalescing, cache hits, duplicate
 // coalescing, shard accounting, error propagation, and clean shutdown.
 //
-// Determinism strategy: start_paused freezes the batcher so a test can
-// stage a known queue, then resume() and observe exactly the dispatches
-// it staged. Nothing here sleeps-and-hopes.
+// Determinism strategy: start_paused holds every shard worker so a test
+// can stage a known queue, then resume() and observe exactly the
+// dispatches it staged. Nothing here sleeps-and-hopes.
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fastz/fastz_pipeline.hpp"
@@ -135,6 +136,48 @@ TEST(AlignmentServer, QueueFullShedsWithTypedError) {
   server.resume();
   EXPECT_NO_THROW(f1.get());
   EXPECT_NO_THROW(f2.get());
+}
+
+TEST(AlignmentServer, RunningServerBoundsItsBacklog) {
+  // Back-to-back submits to a server that is never paused: whatever the
+  // workers are doing, accepted-but-unanswered requests are the queue
+  // plus at most one batch per worker.
+  ServerConfig config = small_config();
+  config.shards = 1;
+  config.queue_limit = 4;
+  config.batch_max = 2;
+  config.cache_max_entries = 0;
+  const std::uint64_t bound = config.queue_limit + config.shards * config.batch_max;
+  std::vector<fastz::testing::FuzzCase> cases;
+  std::vector<AlignRequest> requests;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    cases.push_back(make_case_of_kind(seed, CaseKind::kPipeline));
+    requests.push_back(request_from(cases.back()));
+  }
+
+  AlignmentServer server(config);
+  constexpr int kSubmits = 400;
+  std::vector<std::pair<std::size_t, std::future<AlignResult>>> accepted;
+  int shed = 0;
+  for (int k = 0; k < kSubmits; ++k) {
+    const std::size_t c = static_cast<std::size_t>(k) % requests.size();
+    try {
+      accepted.emplace_back(c, server.submit(requests[c]));
+    } catch (const QueueFullError&) {
+      ++shed;
+    }
+    const ServerStats stats = server.stats();
+    ASSERT_LE(stats.accepted - stats.completed, bound) << "after submit " << k;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.accepted + stats.shed, static_cast<std::uint64_t>(kSubmits));
+  EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
+  EXPECT_EQ(stats.shed_queue_full, stats.shed) << "every shed is a QueueFullError";
+  EXPECT_EQ(stats.accepted, accepted.size());
+  for (auto& [c, future] : accepted) {
+    expect_matches_direct(future.get(), cases[c], config.options,
+                          "backlog case " + std::to_string(c));
+  }
 }
 
 TEST(AlignmentServer, RepeatRequestHitsTheCache) {

@@ -51,34 +51,5 @@ TEST(Percentile, RejectsBadInput) {
   EXPECT_THROW(percentile({1.0}, 101), std::invalid_argument);
 }
 
-TEST(Histogram, BinsByUpperEdgeInclusive) {
-  Histogram h({16, 512, 2048});
-  h.add(16);    // bin 0
-  h.add(17);    // bin 1
-  h.add(512);   // bin 1
-  h.add(513);   // bin 2
-  h.add(5000);  // overflow
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, MergeRequiresSameEdges) {
-  Histogram a({10, 20});
-  Histogram b({10, 20});
-  Histogram c({10, 30});
-  a.add(5);
-  b.add(15);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 2u);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(Histogram, RejectsUnsortedEdges) {
-  EXPECT_THROW(Histogram({20, 10}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace fastz
