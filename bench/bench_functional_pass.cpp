@@ -1,7 +1,7 @@
 // Microbenchmark for the host-side functional pass, in two parts:
 //
-//   1. The parallel functional pass: FastzStudy's per-seed inspect/execute
-//      loop on a thread pool vs the serial path. The two studies are
+//   1. The parallel functional pass: FastzStudy's inspect and execute
+//      stages on a thread pool vs the serial path. The two studies are
 //      verified to produce identical alignments before any time is
 //      reported.
 //   2. The y-drop row core, scalar vs the active SIMD ISA, over the

@@ -42,10 +42,11 @@ OneSidedResult ydrop_one_sided_align(SeqView a, SeqView b, const ScoreParams& pa
   if (options.record_row_bounds) result.row_bounds.push_back({0, w});
 
   // ---- Rows 1..m ----------------------------------------------------------
+  const detail::AdvanceRowFn advance = detail::advance_row_fn(keep_trace, ctx.sequential);
   TraceRow trow;
   for (std::uint32_t row = 1; row <= m; ++row) {
-    const detail::RowOutcome o = detail::advance_row(ctx, row, prev, cur, result.best,
-                                                     keep_trace ? &trow : nullptr);
+    const detail::RowOutcome o =
+        advance(ctx, row, prev, cur, result.best, keep_trace ? &trow : nullptr);
     result.cells += o.cells;
     if (!o.any_viable) break;
 

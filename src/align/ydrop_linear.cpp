@@ -45,6 +45,8 @@ struct Checkpoint {
   BestCell best;
 };
 
+// Charged as the kernel's three S/I/D planes of a checkpointed row. The host
+// copy holds only S and D (ScoreRow), but the ledger models device state.
 std::uint64_t row_state_bytes(const ScoreRow& row) {
   return std::uint64_t{row.width} * 3 * sizeof(Score);
 }
@@ -57,7 +59,6 @@ void copy_row(const ScoreRow& src, ScoreRow& dst) {
   dst.first = src.first;
   dst.last = src.last;
   dst.s.assign(src.s.begin(), src.s.begin() + src.width);
-  dst.gi.assign(src.gi.begin(), src.gi.begin() + src.width);
   dst.gd.assign(src.gd.begin(), src.gd.begin() + src.width);
 }
 
@@ -160,9 +161,10 @@ void replay(const RowContext& ctx, const Checkpoint& from, std::uint32_t target,
             std::vector<TraceRow>* rows) {
   copy_row(from.state, prev);
   best = from.best;
+  const detail::AdvanceRowFn advance = detail::advance_row_fn(rows != nullptr, ctx.sequential);
   for (std::uint32_t row = from.row + 1; row <= target; ++row) {
     TraceRow* trow = rows != nullptr ? &(*rows)[row - from.row - 1] : nullptr;
-    const RowOutcome o = detail::advance_row(ctx, row, prev, cur, best, trow);
+    const RowOutcome o = advance(ctx, row, prev, cur, best, trow);
     acct.replay_cells += o.cells;
     if (!o.any_viable) {
       // Impossible when target <= rows_explored of the plan sweep; kept as a
@@ -271,8 +273,9 @@ OneSidedResult ydrop_linear_traceback(SeqView a, SeqView b, const ScoreParams& p
   copy_row(prev, ck0.state);
   tracer.acct.ckpt_add(row_state_bytes(ck0.state));
 
+  const detail::AdvanceRowFn advance = detail::advance_row_fn(false, ctx.sequential);
   for (std::uint32_t row = 1; row <= m; ++row) {
-    const RowOutcome o = detail::advance_row(ctx, row, prev, cur, result.best, nullptr);
+    const RowOutcome o = advance(ctx, row, prev, cur, result.best, nullptr);
     result.cells += o.cells;
     if (!o.any_viable) break;
     std::swap(prev, cur);

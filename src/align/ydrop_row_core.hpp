@@ -33,20 +33,20 @@ using AlignedScores = std::vector<Score, util::AlignedAllocator<Score, 64>>;
 // One DP row: scores for columns [lo, lo + width). Pruned cells store
 // kNegativeInfinity so downstream reads see them as unreachable — LASTZ's
 // hard-prune semantics. Buffers are reused across rows (the inner loop must
-// not allocate).
+// not allocate). Only S and D are stored: the next row reads S (diagonal,
+// up) and D (up), while I runs along the row in a scalar and is never read
+// back from a completed row.
 struct ScoreRow {
   std::uint32_t lo = 0;
   std::uint32_t width = 0;
   std::uint32_t first = 0;  // first viable column (absolute)
   std::uint32_t last = 0;   // last viable column (absolute)
   AlignedScores s;
-  AlignedScores gi;
   AlignedScores gd;
 
   void ensure_capacity(std::size_t n) {
     if (s.size() < n) {
       s.resize(n);
-      gi.resize(n);
       gd.resize(n);
     }
   }
@@ -133,7 +133,6 @@ inline std::uint32_t init_row0(const RowContext& ctx, ScoreRow& prev, TraceRow* 
   prev.ensure_capacity(std::size_t{std::min(ctx.n, ctx.max_right_run)} + 2);
   prev.lo = 0;
   prev.s[0] = 0;
-  prev.gi[0] = kNegativeInfinity;
   prev.gd[0] = kNegativeInfinity;
   std::uint32_t w = 1;
   if (trow != nullptr) {
@@ -144,7 +143,6 @@ inline std::uint32_t init_row0(const RowContext& ctx, ScoreRow& prev, TraceRow* 
     const Score gi = params.gap_open + static_cast<Score>(j) * params.gap_extend;
     if (gi < -params.ydrop) break;  // best is still 0 at (0,0)
     prev.s[w] = gi;
-    prev.gi[w] = gi;
     prev.gd[w] = kNegativeInfinity;
     ++w;
     if (trow != nullptr) trow->codes.push_back(row0_code(j));
@@ -163,14 +161,17 @@ struct RowOutcome {
 };
 
 // Advances one DP row: computes row `row` into `cur` from the completed row
-// `prev`, updating `best` exactly as the prune mode dictates (sequential:
-// cell-by-cell with a moving cutoff; conservative: merged after the row
-// from a cutoff frozen at the best of completed rows). When `trow` is
-// non-null the row's packed traceback codes are recorded (window [lo,
-// lo + codes.size())). The caller swaps prev/cur on a viable outcome and
-// terminates the sweep otherwise — identical control flow in every driver.
-inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow& prev,
-                              ScoreRow& cur, BestCell& best, TraceRow* trow) {
+// `prev`, updating `best` exactly as the prune mode dictates (kSeq,
+// sequential: cell-by-cell with a moving cutoff; otherwise conservative:
+// merged after the row from a cutoff frozen at the best of completed rows).
+// kTrace records the row's packed traceback codes into `*trow` (window [lo,
+// lo + codes.size())); without it `trow` is ignored. Both flags are compile
+// time, so the per-cell loop carries no mode tests. The caller swaps
+// prev/cur on a viable outcome and terminates the sweep otherwise —
+// identical control flow in every sweep.
+template <bool kTrace, bool kSeq>
+RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow& prev,
+                       ScoreRow& cur, BestCell& best, TraceRow* trow) {
   const ScoreParams& params = *ctx.params;
   RowOutcome outcome;
 
@@ -184,17 +185,18 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
   cur.ensure_capacity(std::size_t{j_cap} - start_lo + 2);
   cur.lo = start_lo;
 
-  // Conservative mode freezes the cutoff at the best of completed rows;
-  // sequential mode lets `best` advance within the row.
-  const bool sequential = ctx.sequential;
-  const Score frozen_cutoff = best.score - params.ydrop;
+  // Conservative mode keeps the cutoff frozen at the best of completed rows
+  // and merges this row's best after the row; sequential mode lets `best`
+  // and the cutoff advance within the row.
   BestCell row_best = best;
   Score cutoff = best.score - params.ydrop;
 
-  if (trow != nullptr) {
+  TraceCode* tc = nullptr;
+  if constexpr (kTrace) {
     trow->lo = start_lo;
     trow->codes.clear();
     trow->codes.resize(std::size_t{j_cap} - start_lo + 2);
+    tc = trow->codes.data();
   }
 
   bool any_viable = false;
@@ -205,11 +207,9 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
   const Score* const sub_row = params.subst[a_base].data();
 
   Score* const cs = cur.s.data();
-  Score* const ci = cur.gi.data();
   Score* const cd = cur.gd.data();
   const Score* const ps = prev.s.data();
   const Score* const pd = prev.gd.data();
-  TraceCode* const tc = trow != nullptr ? trow->codes.data() : nullptr;
 
   // Phase A (vectorized): precompute the D candidates and diagonal sums for
   // the core span where both the up and the diag cell fall inside the
@@ -262,19 +262,19 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
   Score left_i = kNegativeInfinity;
 
   std::uint32_t j = start_lo;
-  // Column 0 border cell (only when the region still touches column 0).
+  // Column 0 border cell (only when the region still touches column 0). Its
+  // I is unreachable, so left_i stays kNegativeInfinity.
   if (j == 0) {
     const Score d_val = params.gap_open + static_cast<Score>(row) * params.gap_extend;
-    const bool viable = d_val >= (sequential ? cutoff : frozen_cutoff);
+    const bool viable = d_val >= cutoff;
     cs[0] = viable ? d_val : kNegativeInfinity;
-    ci[0] = kNegativeInfinity;
     cd[0] = viable ? d_val : kNegativeInfinity;
-    if (tc != nullptr) tc[0] = make_trace(kTraceSrcD, false, row == 1);
+    if constexpr (kTrace) tc[0] = make_trace(kTraceSrcD, false, row == 1);
     if (viable) {
       any_viable = true;
       first_viable = 0;
       last_viable = 0;
-      if (sequential) {
+      if constexpr (kSeq) {
         best.consider(cs[0], row, 0);
         cutoff = best.score - params.ydrop;
       } else {
@@ -282,7 +282,6 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
       }
     }
     left_s = cs[0];
-    left_i = ci[0];
     ++outcome.cells;
     out = 1;
     j = 1;
@@ -333,15 +332,13 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
       s_src = kTraceSrcD;
     }
     ++outcome.cells;
-    if (tc != nullptr) tc[out] = make_trace(s_src, i_opened, d_opened);
+    if constexpr (kTrace) tc[out] = make_trace(s_src, i_opened, d_opened);
 
-    const bool viable =
-        s_val > kNegativeInfinity && s_val >= (sequential ? cutoff : frozen_cutoff);
+    const bool viable = s_val > kNegativeInfinity && s_val >= cutoff;
     if (viable) {
       cs[out] = s_val;
-      ci[out] = i_val;
       cd[out] = d_val;
-      if (sequential) {
+      if constexpr (kSeq) {
         if (best.improved_by(s_val, row, j)) {
           best = BestCell{s_val, row, j};
           cutoff = s_val - params.ydrop;
@@ -358,7 +355,6 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
       left_i = i_val;
     } else {
       cs[out] = kNegativeInfinity;
-      ci[out] = kNegativeInfinity;
       cd[out] = kNegativeInfinity;
       left_s = kNegativeInfinity;
       left_i = kNegativeInfinity;
@@ -371,17 +367,30 @@ inline RowOutcome advance_row(const RowContext& ctx, std::uint32_t row, ScoreRow
     }
   }
 
-  if (!sequential) best = row_best;
+  if constexpr (!kSeq) best = row_best;
 
   cur.width = out;
   cur.first = first_viable;
   cur.last = last_viable;
-  if (trow != nullptr && any_viable) trow->codes.resize(out);
+  if constexpr (kTrace) {
+    if (any_viable) trow->codes.resize(out);
+  }
 
   outcome.any_viable = any_viable;
   outcome.first_viable = first_viable;
   outcome.last_viable = last_viable;
   return outcome;
+}
+
+// The advance_row instantiation for a sweep's mode: traced or not, and the
+// prune mode of ctx. ydrop_one_sided_align and ydrop_linear_traceback
+// resolve it once per sweep and call it per row.
+using AdvanceRowFn = RowOutcome (*)(const RowContext&, std::uint32_t, ScoreRow&, ScoreRow&,
+                                    BestCell&, TraceRow*);
+
+inline AdvanceRowFn advance_row_fn(bool trace, bool sequential) {
+  if (trace) return sequential ? &advance_row<true, true> : &advance_row<true, false>;
+  return sequential ? &advance_row<false, true> : &advance_row<false, false>;
 }
 
 }  // namespace fastz::detail

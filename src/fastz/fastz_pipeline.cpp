@@ -1,7 +1,9 @@
 #include "fastz/fastz_pipeline.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -203,36 +205,39 @@ void record_derive(const FastzRun& run, const std::vector<ExecRec>& recs,
 
 }  // namespace
 
-void FastzStudy::pass_seed(const Sequence& a, const Sequence& b,
-                           const ScoreParams& params, const PipelineOptions& base,
-                           const SeedHit& hit, std::size_t idx,
-                           std::vector<Alignment>& executed) {
-  const FastzConfig functional = FastzConfig::full();
+void FastzStudy::pass_inspect(const Sequence& a, const Sequence& b,
+                              const ScoreParams& params, const PipelineOptions& base,
+                              const SeedHit& hit, std::size_t idx) {
   static const std::size_t seed_span = SpacedSeed::lastz_default().span();
   SeedWork& work = seed_work_[idx];
   {
     telemetry::TraceSpan span("fastz.inspect_seed");
     work.inspection =
-        inspect_seed(a, b, hit, seed_span, params, functional, base.one_sided);
+        inspect_seed(a, b, hit, seed_span, params, FastzConfig::full(), base.one_sided);
   }
   if (work.inspection.eager) {
     work.has_alignment = work.inspection.score >= params.gapped_threshold;
-  } else {
-    telemetry::TraceSpan span("fastz.execute_seed");
-    ExecutorOutcome exec =
-        execute_seed(a, b, work.inspection, params, functional, base.one_sided);
-    work.trimmed_cells = exec.cells;
-    work.trimmed_geom = exec.geom;
-    work.trimmed_tb_bytes = exec.traceback_bytes;
-    work.trimmed_tb_peak_bytes = exec.traceback_peak_bytes;
-    work.trimmed_replay_cells = exec.replay_cells;
-    work.trimmed_checkpoint_bytes = exec.checkpoint_bytes;
-    work.hirschberg_block_rows = std::max(1u, base.one_sided.hirschberg_block_rows);
-    work.hirschberg = exec.hirschberg;
-    if (exec.alignment.score >= params.gapped_threshold) {
-      work.has_alignment = true;
-      executed[idx] = std::move(exec.alignment);
-    }
+  }
+}
+
+void FastzStudy::pass_execute(const Sequence& a, const Sequence& b,
+                              const ScoreParams& params, const PipelineOptions& base,
+                              std::size_t idx, std::vector<Alignment>& executed) {
+  SeedWork& work = seed_work_[idx];
+  telemetry::TraceSpan span("fastz.execute_seed");
+  ExecutorOutcome exec =
+      execute_seed(a, b, work.inspection, params, FastzConfig::full(), base.one_sided);
+  work.trimmed_cells = exec.cells;
+  work.trimmed_geom = exec.geom;
+  work.trimmed_tb_bytes = exec.traceback_bytes;
+  work.trimmed_tb_peak_bytes = exec.traceback_peak_bytes;
+  work.trimmed_replay_cells = exec.replay_cells;
+  work.trimmed_checkpoint_bytes = exec.checkpoint_bytes;
+  work.hirschberg_block_rows = std::max(1u, base.one_sided.hirschberg_block_rows);
+  work.hirschberg = exec.hirschberg;
+  if (exec.alignment.score >= params.gapped_threshold) {
+    work.has_alignment = true;
+    executed[idx] = std::move(exec.alignment);
   }
 }
 
@@ -314,8 +319,8 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
     reg.counter("fastz.batch.shared_targets").add(shared_targets);
   }
 
-  // ---- Phase B: one flat sweep over every item's seeds — a single pool
-  // barrier for the whole batch instead of one per pair.
+  // ---- Phases B and C run over every item's seeds as one flat index
+  // space, on one pool for the whole batch (or inline with one worker).
   std::vector<std::vector<Alignment>> executed(items.size());
   std::vector<std::uint32_t> owner(total_seeds);
   std::vector<std::size_t> first(items.size());
@@ -330,24 +335,57 @@ std::vector<FastzStudy> run_functional_batch(const std::vector<FunctionalBatchIt
   }
   const std::size_t workers = std::min<std::size_t>(
       resolve_thread_count(threads), std::max<std::size_t>(1, total_seeds));
-  auto process_flat = [&](std::size_t flat) {
-    const std::size_t it = owner[flat];
-    const std::size_t idx = flat - first[it];
-    const FunctionalBatchItem& item = items[it];
-    studies[it].pass_seed(*item.a, *item.b, item.params, item.options, hits[it][idx],
-                          idx, executed[it]);
-  };
-  {
-    telemetry::TraceSpan loop_span("fastz.inspect_and_execute");
-    if (workers <= 1) {
-      for (std::size_t flat = 0; flat < total_seeds; ++flat) process_flat(flat);
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  const auto run_stage = [&](std::size_t n, const std::function<void(std::size_t)>& fn) {
+    if (pool) {
+      pool->parallel_for(n, fn);
     } else {
-      ThreadPool pool(workers);
-      pool.parallel_for(total_seeds, process_flat);
+      for (std::size_t k = 0; k < n; ++k) fn(k);
     }
+  };
+
+  // ---- Phase B: inspect every seed.
+  {
+    telemetry::TraceSpan span("fastz.inspect");
+    run_stage(total_seeds, [&](std::size_t flat) {
+      const std::size_t it = owner[flat];
+      const FunctionalBatchItem& item = items[it];
+      const std::size_t idx = flat - first[it];
+      studies[it].pass_inspect(*item.a, *item.b, item.params, item.options, hits[it][idx],
+                               idx);
+    });
   }
 
-  // ---- Phase C (serial, item order): per-item assembly.
+  // ---- Phase C: execute the non-eager seeds, largest trimmed rectangle
+  // first (ties by flat index), so no worker is left alone with one long
+  // extension at the end of the stage. The order only schedules: each seed
+  // writes its own slots, and assembly below reads them in seed order.
+  {
+    telemetry::TraceSpan span("fastz.execute");
+    std::vector<std::uint32_t> order;
+    std::vector<std::uint64_t> area(total_seeds, 0);
+    for (std::size_t flat = 0; flat < total_seeds; ++flat) {
+      const std::size_t it = owner[flat];
+      const SeedInspection& insp = studies[it].seed_work_[flat - first[it]].inspection;
+      if (insp.eager) continue;
+      order.push_back(static_cast<std::uint32_t>(flat));
+      area[flat] = std::uint64_t{insp.left.best.i} * insp.left.best.j +
+                   std::uint64_t{insp.right.best.i} * insp.right.best.j;
+    }
+    std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+      return area[x] != area[y] ? area[x] > area[y] : x < y;
+    });
+    run_stage(order.size(), [&](std::size_t k) {
+      const std::size_t flat = order[k];
+      const std::size_t it = owner[flat];
+      const FunctionalBatchItem& item = items[it];
+      studies[it].pass_execute(*item.a, *item.b, item.params, item.options,
+                               flat - first[it], executed[it]);
+    });
+  }
+
+  // ---- Phase D (serial, item order): per-item assembly.
   for (std::size_t it = 0; it < items.size(); ++it) {
     studies[it].pass_assemble(items[it].options, executed[it]);
     studies[it].functional_threads_ = workers;

@@ -2,10 +2,10 @@
 // benchmark harness.
 //
 // `FastzStudy` performs the *functional* pass once per chromosome pair —
-// seeding, per-seed inspection (conservative y-drop search + eager tile),
-// and execution of the surviving seeds — retaining per-seed work metrics
-// (search cells, warp-strip geometry, optimal cells, trimmed executor
-// geometry). Any `FastzConfig` x `DeviceSpec` combination can then be
+// seeding, inspection of every seed (conservative y-drop search + eager
+// tile), then execution of the surviving seeds — retaining per-seed work
+// metrics (search cells, warp-strip geometry, optimal cells, trimmed
+// executor geometry). Any `FastzConfig` x `DeviceSpec` combination can then be
 // *derived* from the stored metrics without re-running the DP: ablation
 // switches change which work lands in which kernel and how many bytes it
 // moves, exactly as they would on the real device. This mirrors how the
@@ -95,13 +95,15 @@ struct FunctionalBatchItem {
 // Re-entrant batched entry point: runs the functional pass of every item
 // as ONE coalesced unit, amortizing the pass's fixed costs across the
 // batch — items sharing a target sequence (content-identical, same
-// index_step) build its seed index once, and all items' seeds run in a
-// single worker-pool sweep instead of one pool barrier per pair. Per-item
-// results are assembled serially in item order and are bit-identical to
-// running each item as a batch of its own, which is what the per-pair
-// `FastzStudy(a, b, params, options)` constructor does (pinned by
-// tests/fastz/batch_pass_test.cpp). This is the entry point the alignment
-// service's shard workers run each micro-batch through (docs/SERVICE.md).
+// index_step) build its seed index once, and all items' seeds run through
+// two stages on one worker pool instead of one pool per pair: every seed is
+// inspected, then the non-eager seeds are executed, largest trimmed
+// rectangle first. Per-item results are assembled serially in item order
+// and are bit-identical to running each item as a batch of its own, which
+// is what the per-pair `FastzStudy(a, b, params, options)` constructor does
+// (pinned by tests/fastz/batch_pass_test.cpp). This is the entry point the
+// alignment service's shard workers run each micro-batch through
+// (docs/SERVICE.md).
 //
 // `threads` resolves like PipelineOptions::threads (0 = auto via
 // FASTZ_THREADS, then hardware_concurrency) and applies to the whole
@@ -116,11 +118,12 @@ class FastzStudy {
   // seeds (trimmed), and collection of reported alignments (score >=
   // params.gapped_threshold, deduplicated per base.deduplicate).
   //
-  // The per-seed inspect/execute loop runs on `base.threads` workers
-  // (0 = auto). Seeds are independent, and all ordered state — alignments,
+  // The inspect and execute stages run on `base.threads` workers (0 =
+  // auto). Seeds are independent, and all ordered state — alignments,
   // telemetry, cell totals — is assembled serially in seed-index order
-  // after the workers join, so every thread count yields bit-identical
-  // results (see docs/PERFORMANCE.md for the determinism argument).
+  // after the workers join, so every thread count and every execution
+  // order yields bit-identical results (see docs/PERFORMANCE.md for the
+  // determinism argument).
   FastzStudy(const Sequence& a, const Sequence& b, const ScoreParams& params,
              const PipelineOptions& base = {});
 
@@ -151,13 +154,19 @@ class FastzStudy {
 
   FastzStudy() = default;  // run_functional_batch fills the members itself
 
-  // Per-seed worker of the functional pass: a pure function of
-  // (sequences, hit, params) writing only seed_work_[idx] and its
-  // `executed[idx]` parking slot, so any processing order — including a
-  // flat sweep interleaving several studies' seeds — is safe.
-  void pass_seed(const Sequence& a, const Sequence& b, const ScoreParams& params,
-                 const PipelineOptions& base, const SeedHit& hit, std::size_t idx,
-                 std::vector<Alignment>& executed);
+  // The two per-seed stages of the functional pass. pass_inspect runs the
+  // inspector (conservative search plus the eager tile) and settles an eager
+  // seed; pass_execute runs the trimmed executor on a non-eager seed whose
+  // inspection is complete. Each is a pure function of (sequences, hit or
+  // inspection, params) writing only seed_work_[idx] and its `executed[idx]`
+  // parking slot, so any processing order — a flat sweep interleaving
+  // several studies' seeds, or the executor's longest-first order — is
+  // safe.
+  void pass_inspect(const Sequence& a, const Sequence& b, const ScoreParams& params,
+                    const PipelineOptions& base, const SeedHit& hit, std::size_t idx);
+  void pass_execute(const Sequence& a, const Sequence& b, const ScoreParams& params,
+                    const PipelineOptions& base, std::size_t idx,
+                    std::vector<Alignment>& executed);
 
   // Serial assembly in seed-index order: alignments_, telemetry
   // instruments, and inspector_cells_ see exactly the sequence the serial

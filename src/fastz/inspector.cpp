@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "fastz/binning.hpp"
 #include "fastz/executor.hpp"
 
 namespace fastz {
@@ -81,10 +82,7 @@ SeedInspection inspect_seed(const Sequence& a, const Sequence& b, const SeedHit&
   out.right = inspect_side(right_a, right_b, params, limits);
   out.score = out.left.best.score + out.right.best.score;
 
-  const std::uint32_t tile = config.eager_tile;
-  out.eager = config.eager_traceback && out.left.best.i <= tile &&
-              out.left.best.j <= tile && out.right.best.i <= tile &&
-              out.right.best.j <= tile;
+  out.eager = config.eager_traceback && eager_eligible(out, config.eager_tile);
 
   if (out.eager) {
     // The eager tile is the optimal rectangle by definition, so its

@@ -37,8 +37,8 @@ MulticoreResult run_multicore_lastz(const Sequence& a, const Sequence& b,
   ThreadPool pool(mc.threads);
   result.threads_used = pool.size();
 
-  // Per-seed outcome slots keep the output in seed order regardless of the
-  // partitioning, so every thread count (and the sequential pipeline)
+  // Per-seed outcome slots keep the output in seed order whichever worker
+  // ran which seed, so every thread count (and the sequential pipeline)
   // produces an identical alignment list.
   std::vector<SeedOutcome> outcomes(hits.size());
 
@@ -52,7 +52,6 @@ MulticoreResult run_multicore_lastz(const Sequence& a, const Sequence& b,
     }
   };
 
-  // Static contiguous partitions — the paper's multi-process scheme.
   pool.parallel_for(outcomes.size(), process);
 
   for (SeedOutcome& outcome : outcomes) {

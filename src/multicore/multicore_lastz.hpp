@@ -2,10 +2,11 @@
 //
 // The paper's multicore comparison point (Section 3.4) partitions the seed
 // list across processes, each running the default sequential DP on its
-// partition. Here the partitions are one contiguous seed range per worker
-// of a thread pool (ThreadPool::parallel_for); results are concatenated in
-// seed order so the output is bit-identical to the sequential pipeline
-// regardless of thread count (verified by tests).
+// partition. Here the workers of a thread pool (ThreadPool::parallel_for)
+// claim seeds one at a time, so there is no fixed partition; results are
+// written per seed and concatenated in seed order, so the output is
+// bit-identical to the sequential pipeline regardless of thread count
+// (verified by tests).
 //
 // FastZ's GPU innovations deliberately do not apply here (Section 3.4):
 // no slow device-side allocation to motivate inspector-executor, too few

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
@@ -76,33 +77,37 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t chunks = std::min(n, size());
-  const std::size_t per = (n + chunks - 1) / chunks;
+  const std::size_t workers = std::min(n, size());
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t error_index = n;
+  std::exception_ptr error;
   std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per;
-    const std::size_t end = std::min(n, begin + per);
-    if (begin >= end) break;
-    futures.push_back(submit([begin, end, &fn] {
-      // One span per worker chunk: the per-tid lanes of the trace make
-      // multicore load imbalance directly visible.
+  futures.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    futures.push_back(submit([&] {
+      // One span per worker: the per-tid lanes of the trace make multicore
+      // load imbalance directly visible.
       telemetry::TraceSpan span("pool.chunk", "pool");
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard lock(error_mutex);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+          return;
+        }
+      }
     }));
   }
-  // Wait for *every* chunk before rethrowing: bailing on the first failure
-  // would destroy `fn` (and any state it captures) while other chunks still
-  // run, and would leave this barrier half-joined.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  // Join every worker before rethrowing: returning early would destroy the
+  // cursor and `fn` (and any state it captures) while workers still run.
+  for (auto& f : futures) f.get();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace fastz

@@ -1,9 +1,10 @@
-// Fixed-size worker pool used by the multicore LASTZ implementation.
+// Fixed-size worker pool: the functional pass's per-seed stages, multicore
+// LASTZ and the benchmark's reference replay all run on it.
 //
-// The paper's multicore baseline partitions the seed list across processes;
-// here we use threads with the same coarse-grained inter-seed partitioning
-// (Section 3.4 of the paper: "Our implementation partitions the set of seeds
-// where each partition runs in a sequential process").
+// parallel_for has one schedule. Its workers claim indices one at a time from
+// a shared cursor, so a worker that drew a long item does not hold back items
+// another worker could run. Callers write results by index, so no output
+// depends on which worker ran which index.
 #pragma once
 
 #include <condition_variable>
@@ -55,12 +56,15 @@ class ThreadPool {
   }
 
   // Run fn(i) for i in [0, n) across the pool and wait for completion.
-  // Work is divided into contiguous chunks, one per worker, mirroring the
-  // static seed-partitioning of the multicore LASTZ baseline.
+  // min(n, size()) workers each claim the next unclaimed index from a shared
+  // atomic cursor until none is left; indices are claimed in ascending order.
   //
-  // An exception thrown by any fn(i) is rethrown here (the first one, in
-  // chunk order) — but only after every chunk has finished, so the barrier
-  // never abandons tasks that still reference `fn`.
+  // A worker stops at its first exception. The barrier still joins every
+  // worker, so it never abandons tasks that still reference `fn`, and then
+  // rethrows the exception of the lowest failing index. Which index that is
+  // does not depend on which worker claimed what: every index below the
+  // lowest one that throws runs without throwing, so no worker has stopped
+  // by the time that index is claimed.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // Stops accepting work, drains the queue, and joins the workers. Safe to

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <stdexcept>
@@ -61,6 +62,16 @@ void expect_matches_direct(const AlignResult& got, const fastz::testing::FuzzCas
   }
   EXPECT_EQ(got.outcome.seeds, direct.seeds()) << label;
   EXPECT_EQ(got.outcome.inspector_cells, direct.inspector_cells()) << label;
+}
+
+// Full equality of two alignment lists: coordinates, score and every op.
+bool same_alignments(const std::vector<Alignment>& want, const std::vector<Alignment>& got) {
+  return std::equal(want.begin(), want.end(), got.begin(), got.end(),
+                    [](const Alignment& w, const Alignment& g) {
+                      return w.a_begin == g.a_begin && w.a_end == g.a_end &&
+                             w.b_begin == g.b_begin && w.b_end == g.b_end &&
+                             w.score == g.score && w.ops == g.ops;
+                    });
 }
 
 TEST(AlignmentServer, SingleRequestMatchesDirectPipeline) {
@@ -289,28 +300,29 @@ TEST(AlignmentServer, RejectsDegenerateConfig) {
 }
 
 TEST(AlignmentServer, ManyConcurrentClientsAllComplete) {
-  // Closed-loop hammering from several client threads; every future must
-  // resolve and match the direct pipeline (spot-checked per client).
+  // Closed-loop hammering from several client threads; every completion
+  // must equal the direct pipeline's alignments for its case. The three
+  // direct studies are built once, before the clients start.
   ServerConfig config = small_config();
   config.queue_limit = 256;
   config.shards = 2;
-  AlignmentServer server(config);
   std::vector<fastz::testing::FuzzCase> cases;
+  std::vector<std::vector<Alignment>> direct;
   for (std::uint64_t seed : {11ull, 202ull, 12ull}) {
     cases.push_back(make_case_of_kind(seed, CaseKind::kPipeline));
+    const auto& c = cases.back();
+    direct.push_back(FastzStudy(c.a, c.b, c.params, config.options).alignments());
   }
+  AlignmentServer server(config);
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < 6; ++i) {
-        const auto& c = cases[(t + i) % cases.size()];
+        const std::size_t k = static_cast<std::size_t>(t + i) % cases.size();
         try {
-          AlignResult result = server.submit(request_from(c)).get();
-          const FastzStudy direct(c.a, c.b, c.params, config.options);
-          if (result.outcome.alignments.size() != direct.alignments().size()) {
-            failures.fetch_add(1);
-          }
+          AlignResult result = server.submit(request_from(cases[k])).get();
+          if (!same_alignments(direct[k], result.outcome.alignments)) failures.fetch_add(1);
         } catch (const QueueFullError&) {
           // Sheds are legal under load; correctness is about completions.
         } catch (...) {

@@ -79,9 +79,9 @@ TEST(ThreadPool, ShutdownDrainsQueuedWork) {
 
 TEST(ThreadPool, ExceptionInOneChunkDoesNotDeadlockTheBarrier) {
   ThreadPool pool(4);
-  // Every chunk throws: the barrier must still join all of them and rethrow
+  // Every item throws: the barrier must still join every worker and rethrow
   // exactly one exception instead of deadlocking or tearing down `fn` while
-  // chunks still run.
+  // workers still run.
   std::atomic<int> entered{0};
   EXPECT_THROW(pool.parallel_for(1000,
                                  [&](std::size_t) {
@@ -89,7 +89,7 @@ TEST(ThreadPool, ExceptionInOneChunkDoesNotDeadlockTheBarrier) {
                                    throw std::runtime_error("chunk failure");
                                  }),
                std::runtime_error);
-  // One failure per chunk (first index of each), so between 1 and pool-size
+  // A worker stops at its first failure, so between 1 and pool-size
   // entries ran.
   EXPECT_GE(entered.load(), 1);
   EXPECT_LE(entered.load(), 4);
@@ -100,16 +100,48 @@ TEST(ThreadPool, ExceptionInOneChunkDoesNotDeadlockTheBarrier) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, ExceptionRethrownIsFromEarliestChunk) {
+TEST(ThreadPool, ExceptionRethrownIsFromLowestFailingIndex) {
+  // Several indices throw, and which worker claims which index changes from
+  // run to run (item cost varies with the index). The rethrown exception is
+  // still always the lowest failing index's.
   ThreadPool pool(4);
-  try {
-    pool.parallel_for(4, [](std::size_t i) {
-      throw std::runtime_error("chunk " + std::to_string(i));
-    });
-    FAIL() << "parallel_for must rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "chunk 0");
+  for (int round = 0; round < 20; ++round) {
+    try {
+      pool.parallel_for(500, [round](std::size_t i) {
+        if ((i + static_cast<std::size_t>(round)) % 7 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        if (i >= 37 && i % 13 == 11) throw std::runtime_error("index " + std::to_string(i));
+      });
+      FAIL() << "parallel_for must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "index 37") << "round " << round;
+    }
   }
+}
+
+TEST(ThreadPool, ClaimsWorkDynamically) {
+  // Item 0 blocks until items 1..63 have all run. With claimed indices the
+  // other worker runs all of them; a static split that parks items 1..31
+  // behind item 0 on the same worker cannot finish, and the bounded wait
+  // fails the test instead of hanging it.
+  ThreadPool pool(2);
+  constexpr std::size_t kItems = 64;
+  std::atomic<std::size_t> others_done{0};
+  std::size_t seen_by_item0 = 0;
+  pool.parallel_for(kItems, [&](std::size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((seen_by_item0 = others_done.load()) < kItems - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_EQ(seen_by_item0, kItems - 1) << "other items that ran while item 0 waited";
+  EXPECT_EQ(others_done.load(), kItems - 1);
 }
 
 TEST(ThreadPool, SumIsDeterministic) {
